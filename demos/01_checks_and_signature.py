@@ -41,8 +41,11 @@ assert abbv_integral_one(fake) == Fraction(-1, 4)
 
 # The signature check works with the rational function
 #   sum_p eps(p) * prod_i (1 + t^{w_i}) / (1 - t^{w_i})
-# which must be a constant polynomial in t.  Its power series expansion
-# makes the failure visible degree by degree.
+# which must be a constant in t.  Its power series, computed with integer
+# arithmetic, makes the failure visible degree by degree.  Over the common
+# denominator prod (1 - t^w), of degree S = the sum of all weights, the sum
+# is constant exactly when the series vanishes in degrees 1..S, so S + 1
+# coefficients decide the question and the first nonzero one is the witness.
 print("\nsignature series of the fake data (orders 0..6):")
 print(" ", [str(c) for c in signature_series(fake, 6).coeffs])
 

@@ -18,9 +18,7 @@ from .core import (
     serialize,
 )
 from .series import (
-    RationalPolynomial,
     TruncatedSeries,
-    factor_series,
     signature_exact,
     signature_series,
     signature_value,
@@ -50,7 +48,6 @@ __all__ = [
     "FixedPointDatum",
     "SignedDatumClass",
     "LabeledMultigraph",
-    "RationalPolynomial",
     "TruncatedSeries",
     "abbv_integral_one",
     "applicable_moves",
@@ -63,7 +60,6 @@ __all__ = [
     "describes",
     "disjoint_union",
     "enumerate_admissible",
-    "factor_series",
     "from_complex_weights",
     "gen_blowup",
     "gen_cp2",

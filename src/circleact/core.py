@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 
 class InvalidWeightError(ValueError):
@@ -23,11 +23,11 @@ class DimensionMismatchError(ValueError):
 
 
 class ParseError(ValueError):
-    """Malformed textual input; carries a 1-based line number."""
+    """Malformed input; text input carries a 1-based line number, JSON None."""
 
-    def __init__(self, line_no: int, message: str):
+    def __init__(self, line_no: Optional[int], message: str):
         self.line_no = line_no
-        super().__init__(f"line {line_no}: {message}")
+        super().__init__(message if line_no is None else f"line {line_no}: {message}")
 
 
 def _check_sign(sign: int) -> None:
@@ -233,8 +233,40 @@ def to_json(d: FixedPointData) -> str:
 
 
 def from_json(text: str) -> FixedPointData:
-    obj = json.loads(text)
+    """Read the JSON mirror; any other structure is a ParseError.
+
+    Signs and weights must be JSON integers: booleans and floats are
+    rejected, as the text format rejects anything but decimal integers.
+    """
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise ParseError(None, "JSON nested too deeply") from None
+    if not isinstance(obj, dict) or not isinstance(obj.get("points"), list):
+        raise ParseError(None, 'expected an object {"points": [...]}')
     points = []
-    for entry in obj["points"]:
-        points.append(FixedPointDatum(entry["sign"], tuple(entry["weights"])))
+    arity = None
+    for i, entry in enumerate(obj["points"]):
+        where = f"points[{i}]"
+        if not isinstance(entry, dict) or "sign" not in entry or "weights" not in entry:
+            raise ParseError(None, f'{where}: expected an object with "sign" and "weights"')
+        sign, weights = entry["sign"], entry["weights"]
+        if type(sign) is not int or sign not in (-1, 1):
+            raise ParseError(None, f"{where}: sign must be -1 or 1, got {sign!r}")
+        if (
+            not isinstance(weights, list)
+            or not weights
+            or any(type(w) is not int or w < 1 for w in weights)
+        ):
+            raise ParseError(
+                None, f"{where}: weights must be a non-empty list of positive "
+                f"integers, got {weights!r}"
+            )
+        if arity is None:
+            arity = len(weights)
+        elif len(weights) != arity:
+            raise ParseError(
+                None, f"{where}: inconsistent arity: expected {arity}, got {len(weights)}"
+            )
+        points.append(FixedPointDatum(sign, tuple(weights)))
     return FixedPointData(tuple(points))

@@ -1,122 +1,39 @@
-"""Exact arithmetic for the equivariant signature identity.
+"""Exact integer arithmetic for the equivariant signature identity.
 
 The signature of an oriented manifold with isolated fixed points equals
 
-    sum_p eps(p) * prod_i (1 + t^{w_pi}) / (1 - t^{w_pi})
+    f(t) = sum_p eps(p) * prod_i (1 + t^{w_pi}) / (1 - t^{w_pi})
 
-for every indeterminate t, and is a constant.  This module provides two
-independent routes to that sum: order-N truncated series built from the
-expansion (1+t^w)/(1-t^w) = 1 + 2*sum_{j>=1} t^{jw}, and an exact sparse
-rational-function comparison that certifies constancy.
+for every indeterminate t, and is a constant.  Over the common denominator
+Den = prod (1 - t^w), whose degree is the sum S of the weights and whose
+value at t=0 is 1, f - f(0) = P/Den with deg P <= S.  So f is constant
+exactly when its power series vanishes in degrees 1..S, and otherwise the
+first nonzero coefficient there is the least degree of P.  Points with equal
+weights are merged first (their signs add), and S counts each merged weight
+tuple once; a tuple whose signs cancel drops out of f and of S.
+
+Each point's series through t^S comes from the integer recurrence
+h[i] = g[i] + g[i-w] + h[i-w], one pass per weight, which multiplies g by
+(1 + t^w)/(1 - t^w).  The signed sum of those series decides constancy.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .core import FixedPointData
 
-
-class RationalPolynomial:
-    """Sparse polynomial over Q: map exponent -> nonzero coefficient."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Optional[dict] = None):
-        self.coeffs = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                c = Fraction(c)
-                if c:
-                    self.coeffs[e] = c
-
-    @classmethod
-    def constant(cls, value) -> "RationalPolynomial":
-        return cls({0: Fraction(value)})
-
-    @classmethod
-    def one_plus(cls, w: int) -> "RationalPolynomial":
-        """1 + t^w"""
-        return cls({0: Fraction(1), w: Fraction(1)})
-
-    @classmethod
-    def one_minus(cls, w: int) -> "RationalPolynomial":
-        """1 - t^w"""
-        return cls({0: Fraction(1), w: Fraction(-1)})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def degree(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no degree")
-        return max(self.coeffs)
-
-    def min_degree(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no minimal degree")
-        return min(self.coeffs)
-
-    def coefficient(self, e: int) -> Fraction:
-        return self.coeffs.get(e, Fraction(0))
-
-    def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-        res = RationalPolynomial()
-        res.coeffs = out
-        return res
-
-    def __sub__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        return self + other.scale(-1)
-
-    def __mul__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        out: dict = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
-        res = RationalPolynomial()
-        res.coeffs = out
-        return res
-
-    def scale(self, value) -> "RationalPolynomial":
-        value = Fraction(value)
-        res = RationalPolynomial()
-        if value:
-            res.coeffs = {e: c * value for e, c in self.coeffs.items()}
-        return res
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RationalPolynomial) and self.coeffs == other.coeffs
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "RationalPolynomial(0)"
-        terms = " + ".join(f"{c}*t^{e}" for e, c in sorted(self.coeffs.items()))
-        return f"RationalPolynomial({terms})"
-
-    def truncated(self, order: int) -> "TruncatedSeries":
-        out = [Fraction(0)] * (order + 1)
-        for e, c in self.coeffs.items():
-            if 0 <= e <= order:
-                out[e] = c
-        return TruncatedSeries(order, out)
+# Largest degree the kernel expands to.  Time and memory grow linearly with
+# it, so larger requests (huge weights, or a huge --order) are refused with
+# a ValueError instead of exhausting memory.
+MAX_DEGREE = 10**6
 
 
 class TruncatedSeries:
-    """Order-N truncated series: exact rational coefficients for t^0..t^N."""
+    """Order-N truncated series: exact coefficients for t^0..t^N."""
 
     __slots__ = ("order", "coeffs")
 
@@ -125,56 +42,12 @@ class TruncatedSeries:
             raise ValueError("order must be non-negative")
         self.order = order
         if coeffs is None:
-            self.coeffs = [Fraction(0)] * (order + 1)
+            self.coeffs = [0] * (order + 1)
         else:
-            coeffs = [Fraction(c) for c in coeffs]
+            coeffs = list(coeffs)
             if len(coeffs) != order + 1:
                 raise ValueError("coefficient list does not match order")
             self.coeffs = coeffs
-
-    @classmethod
-    def constant(cls, value, order: int) -> "TruncatedSeries":
-        s = cls(order)
-        s.coeffs[0] = Fraction(value)
-        return s
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if self.order != other.order:
-            raise ValueError("order mismatch")
-        return TruncatedSeries(
-            self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if self.order != other.order:
-            raise ValueError("order mismatch")
-        return TruncatedSeries(
-            self.order, [a - b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if self.order != other.order:
-            raise ValueError("order mismatch")
-        n = self.order
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if i + j > n:
-                    break
-                if b:
-                    out[i + j] += a * b
-        return TruncatedSeries(n, out)
-
-    def scale(self, value) -> "TruncatedSeries":
-        value = Fraction(value)
-        return TruncatedSeries(self.order, [c * value for c in self.coeffs])
-
-    def truncated(self, order: int) -> "TruncatedSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return TruncatedSeries(order, self.coeffs[: order + 1])
 
     def __eq__(self, other) -> bool:
         return (
@@ -187,39 +60,43 @@ class TruncatedSeries:
         return f"TruncatedSeries(order={self.order}, coeffs={self.coeffs})"
 
 
-def factor_series(w: int, order: int) -> TruncatedSeries:
-    """Order-N expansion of (1+t^w)/(1-t^w): 1 + 2*sum_{j>=1, jw<=N} t^{jw}."""
-    if w < 1:
-        raise ValueError("weight must be positive")
-    s = TruncatedSeries(order)
-    s.coeffs[0] = Fraction(1)
-    e = w
-    while e <= order:
-        s.coeffs[e] = Fraction(2)
-        e += w
-    return s
+def _net_signs(d: FixedPointData) -> dict[tuple[int, ...], int]:
+    """Sum of the signs of the points carrying each weight tuple, zeros dropped."""
+    if not d.points:
+        raise ValueError("signature sum needs non-empty data")
+    signs: Counter = Counter()
+    for p in d.points:
+        signs[p.weights] += p.sign
+    return {weights: sign for weights, sign in signs.items() if sign}
 
 
-def default_order(d: FixedPointData) -> int:
-    """2*(sum of the two largest weights) + 1; quick-check heuristic only."""
-    weights = sorted((w for p in d.points for w in p.weights), reverse=True)
-    if not weights:
-        return 1
-    top_two = sum(weights[:2])
-    return 2 * top_two + 1
+def _series(signs: dict[tuple[int, ...], int], length: int) -> list[int]:
+    """Coefficients of t^0..t^(length-1) of sum sign * prod (1+t^w)/(1-t^w)."""
+    if length - 1 > MAX_DEGREE:
+        raise ValueError(
+            f"signature series through degree {length - 1} exceeds the "
+            f"supported degree {MAX_DEGREE}"
+        )
+    total = [0] * length
+    for weights, sign in signs.items():
+        g = [0] * length
+        g[0] = 1
+        for w in weights:
+            h = g[:]
+            for i in range(w, length):
+                h[i] = g[i] + g[i - w] + h[i - w]
+            g = h
+        for i, c in enumerate(g):
+            if c:
+                total[i] += sign * c
+    return total
 
 
 def signature_series(d: FixedPointData, order: int) -> TruncatedSeries:
-    """sum_p eps(p) * prod_i factor_series(w_pi, N), exactly."""
-    if not d.points:
-        raise ValueError("signature series needs non-empty data")
-    total = TruncatedSeries(order)
-    for p in d.points:
-        term = TruncatedSeries.constant(1, order)
-        for w in p.weights:
-            term = term * factor_series(w, order)
-        total = total + term.scale(p.sign)
-    return total
+    """sum_p eps(p) * prod_i (1+t^w_pi)/(1-t^w_pi) through t^order, exactly."""
+    if order < 0:
+        raise ValueError("order must be non-negative")
+    return TruncatedSeries(order, _series(_net_signs(d), order + 1))
 
 
 @dataclass(frozen=True)
@@ -237,62 +114,19 @@ class SignatureResult:
 def signature_exact(d: FixedPointData) -> SignatureResult:
     """Decide whether the signature sum is a constant rational function.
 
-    Forms the sum over the common denominator prod_p prod_i (1 - t^{w_pi})
-    and compares the numerator against constant * denominator as exact
-    polynomials.  Returns the constant on success, otherwise the least
-    degree at which they differ.
+    Expands the sum through t^S, S the degree of its common denominator.
+    Returns the constant on success, otherwise the least positive degree
+    with a nonzero coefficient.
     """
-    numerator, denominator = signature_rational_parts(d)
-    # If numerator = c * denominator, then c = numerator(0) since den(0) = 1.
-    c = numerator.coefficient(0)
-    difference = numerator - denominator.scale(c)
-    if difference.is_zero():
-        return SignatureResult(constant=c, witness_degree=None)
-    return SignatureResult(constant=None, witness_degree=difference.min_degree())
+    signs = _net_signs(d)
+    bound = sum(sum(weights) for weights in signs)
+    total = _series(signs, bound + 1)
+    for degree in range(1, bound + 1):
+        if total[degree]:
+            return SignatureResult(constant=None, witness_degree=degree)
+    return SignatureResult(constant=Fraction(total[0]), witness_degree=None)
 
 
 def signature_value(d: FixedPointData) -> Fraction:
     """sum_p eps(p): the t=0 value of the signature sum."""
     return Fraction(sum(p.sign for p in d.points))
-
-
-def quotient_series(
-    numerator: RationalPolynomial, denominator: RationalPolynomial, order: int
-) -> TruncatedSeries:
-    """Order-N series of numerator/denominator; requires denominator(0) != 0."""
-    a = denominator.truncated(order).coeffs
-    if not a[0]:
-        raise ValueError("denominator must be a unit at t=0")
-    b = numerator.truncated(order).coeffs
-    out = [Fraction(0)] * (order + 1)
-    for k in range(order + 1):
-        acc = b[k]
-        for j in range(1, k + 1):
-            if a[j]:
-                acc -= a[j] * out[k - j]
-        out[k] = acc / a[0]
-    return TruncatedSeries(order, out)
-
-
-def signature_rational_parts(
-    d: FixedPointData,
-) -> tuple[RationalPolynomial, RationalPolynomial]:
-    """Numerator and common denominator of the signature sum, unreduced."""
-    if not d.points:
-        raise ValueError("needs non-empty data")
-    denominator = RationalPolynomial.constant(1)
-    for p in d.points:
-        for w in p.weights:
-            denominator = denominator * RationalPolynomial.one_minus(w)
-    numerator = RationalPolynomial()
-    for p in d.points:
-        term = RationalPolynomial.constant(p.sign)
-        for w in p.weights:
-            term = term * RationalPolynomial.one_plus(w)
-        for q in d.points:
-            if q is p:
-                continue
-            for w in q.weights:
-                term = term * RationalPolynomial.one_minus(w)
-        numerator = numerator + term
-    return numerator, denominator

@@ -16,9 +16,10 @@ from circleact.core import data
 from circleact.generators import gen_blowup, gen_cp2, gen_cp3, gen_s6, gen_s6_pair
 from circleact.multigraph import enumerate_admissible, match_figure1
 from circleact.rewrite import RewriteTrace, collection_from_data, reduce_to_empty
-from circleact.series import quotient_series, signature_exact, signature_rational_parts, signature_series
+from circleact.series import signature_exact, signature_series
 from circleact.sweep import survivors, sweep
 from conftest import random_data
+from rational_oracle import quotient_series, signature_rational_parts
 
 PETRIE = data((1, 7, 2, 3), (-1, 7, 2, 3), (1, 5, 2, 3), (-1, 5, 2, 3))
 NEG1 = data((1, 2, 4, 1), (1, 2, 3, 1), (-1, 4, 3, 2), (-1, 1, 1, 2))

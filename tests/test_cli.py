@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -67,6 +68,31 @@ class TestCheck:
     def test_missing_file_exit_2(self, capsys):
         code, _, _ = run(capsys, "check", "/nonexistent/input.txt")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"x": 1}',
+            '{"points": {"a": 1}}',
+            '{"points": [{"sign": 1, "weights": ["a"]}]}',
+            '{"points": [{"sign": true, "weights": [1, 2]}, {"sign": -1, "weights": [1, 2]}]}',
+            '{"points": [{"sign": 1, "weights": [true, 2]}, {"sign": -1, "weights": [1, 2]}]}',
+        ],
+    )
+    def test_malformed_json_exit_2(self, capsys, monkeypatch, text):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run(capsys, "check", "-")
+        assert code == 2 and out == "" and err.startswith("error: ")
+
+    def test_negative_order_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(PETRIE_TEXT))
+        code, _, err = run(capsys, "check", "--order", "-1", "-")
+        assert code == 2 and "order" in err
+
+    def test_degree_limit_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("+ 1 1000000\n- 2 999999\n"))
+        code, _, err = run(capsys, "check", "-")
+        assert code == 2 and "supported degree" in err
 
     def test_json_input(self, capsys, tmp_path):
         p = tmp_path / "in.json"

@@ -169,6 +169,41 @@ class TestTextFormat:
         assert to_json(d) == '{"points": [{"sign": 1, "weights": [2, 3, 7]}]}'
 
 
+class TestJsonFormat:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"x": 1}',
+            '[]',
+            '{"points": {"a": 1}}',
+            '{"points": [1]}',
+            '{"points": [{"sign": 1}]}',
+            '{"points": [{"sign": 1, "weights": ["a"]}]}',
+            '{"points": [{"sign": 1, "weights": 3}]}',
+            '{"points": [{"sign": 1, "weights": []}]}',
+            '{"points": [{"sign": 1, "weights": [0, 2]}]}',
+            '{"points": [{"sign": 1, "weights": [2.0]}]}',
+            '{"points": [{"sign": 1, "weights": [true, 2]}]}',
+            '{"points": [{"sign": true, "weights": [1, 2]}]}',
+            '{"points": [{"sign": 2, "weights": [1, 2]}]}',
+            '{"points": [{"sign": "+", "weights": [1, 2]}]}',
+            '{"points": [{"sign": 1, "weights": [1]}, {"sign": -1, "weights": [1, 2]}]}',
+            '{"points": ' + "[" * 100000 + "]" * 100000 + "}",
+        ],
+    )
+    def test_malformed_is_parse_error(self, text):
+        with pytest.raises(ParseError) as exc:
+            from_json(text)
+        assert exc.value.line_no is None
+
+    def test_where_is_reported(self):
+        with pytest.raises(ParseError, match=r"points\[1\]: sign"):
+            from_json('{"points": [{"sign": 1, "weights": [1]}, {"sign": 0, "weights": [1]}]}')
+
+    def test_empty_points(self):
+        assert from_json('{"points": []}').points == ()
+
+
 class TestInvariants:
     def test_weights_sorted(self):
         assert FixedPointDatum(1, (3, 1, 2)).weights == (1, 2, 3)

@@ -1,20 +1,28 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circleact.core import FixedPointData, data, disjoint_union, reverse_orientation
+from circleact.generators import gen_cp2, gen_cp3, gen_s6_pair
 from circleact.series import (
-    RationalPolynomial,
+    MAX_DEGREE,
     TruncatedSeries,
-    default_order,
-    factor_series,
-    quotient_series,
     signature_exact,
-    signature_rational_parts,
     signature_series,
     signature_value,
 )
 from conftest import random_data
+from rational_oracle import (
+    RationalPolynomial,
+    factor_series,
+    product_signature_series,
+    quotient_series,
+    rational_signature_exact,
+    signature_rational_parts,
+)
 
 # Lemma 5.6 case (ii) family at a=2, c=1: not realizable.
 NEG1 = data((1, 2, 4, 1), (1, 2, 3, 1), (-1, 4, 3, 2), (-1, 1, 1, 2))
@@ -22,6 +30,10 @@ NEG1 = data((1, 2, 4, 1), (1, 2, 3, 1), (-1, 4, 3, 2), (-1, 1, 1, 2))
 
 def F(*values):
     return [Fraction(v) for v in values]
+
+
+def verdict(res):
+    return res.constant, res.witness_degree
 
 
 class TestFactorSeries:
@@ -43,7 +55,8 @@ class TestFactorSeries:
             w = rng.randint(1, 9)
             n = rng.randint(1, 30)
             shorter = rng.randint(0, n)
-            assert factor_series(w, n).truncated(shorter) == factor_series(w, shorter)
+            head = factor_series(w, n).coeffs[: shorter + 1]
+            assert TruncatedSeries(shorter, head) == factor_series(w, shorter)
 
 
 class TestSignatureSeries:
@@ -65,6 +78,10 @@ class TestSignatureSeries:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             signature_series(FixedPointData(()), 3)
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError):
+            signature_series(NEG1, -1)
 
 
 class TestSignatureExact:
@@ -93,6 +110,25 @@ class TestSignatureExact:
         res = signature_exact(data((1, 1, 2, 3), (-1, 1, 2, 3)))
         assert res.constant == 0
 
+    def test_witness_at_truncation_bound(self):
+        # {+,5}: S = 5 and (1+t^5)/(1-t^5) = 1 + 2t^5 + ..., so the only
+        # deviation the kernel may see is its last coefficient.
+        res = signature_exact(data((1, 5)))
+        assert res.witness_degree == 5
+        assert verdict(res) == verdict(rational_signature_exact(data((1, 5))))
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            signature_exact(FixedPointData(()))
+
+    def test_degree_limit(self):
+        # S = 2 * MAX_DEGREE: refused before any list is allocated
+        d = data((1, 1, MAX_DEGREE), (-1, 2, MAX_DEGREE - 1))
+        with pytest.raises(ValueError, match="exceeds the supported degree"):
+            signature_exact(d)
+        with pytest.raises(ValueError, match="exceeds the supported degree"):
+            signature_series(d, MAX_DEGREE + 1)
+
 
 class TestSignatureValue:
     def test_petrie(self):
@@ -116,6 +152,43 @@ class TestCrossOracle:
             via_quotient = quotient_series(num, den, order)
             assert via_series == via_quotient
 
+    def test_series_matches_factor_products(self, rng):
+        for _ in range(150):
+            d = random_data(rng, max_points=4, max_arity=3, max_weight=6)
+            order = rng.randint(0, 25)
+            assert signature_series(d, order) == product_signature_series(d, order)
+
+    def test_exact_matches_rational_on_random_data(self, rng):
+        for _ in range(300):
+            d = random_data(rng, max_points=6, max_arity=3, max_weight=8)
+            assert verdict(signature_exact(d)) == verdict(rational_signature_exact(d))
+
+    def test_exact_matches_rational_on_mirror_unions(self, rng):
+        for _ in range(100):
+            d = random_data(rng, max_points=3, max_arity=3, max_weight=8)
+            m = disjoint_union(d, reverse_orientation(d))
+            res = signature_exact(m)
+            assert res.constant == 0
+            assert verdict(res) == verdict(rational_signature_exact(m))
+
+    def test_exact_matches_rational_on_generators(self, rng):
+        cases = [gen_cp3(a, b, 40 - a - b) for a, b in ((1, 1), (3, 17), (13, 14))]
+        cases += [gen_cp3(a, b, c) for a, b, c in itertools.product((1, 4, 9), repeat=3)]
+        cases += [gen_s6_pair(*(rng.randint(1, 40) for _ in range(6))) for _ in range(10)]
+        cases += [gen_s6_pair(40, 1, 2, 3, 39, 40)]
+        for d in cases:
+            res = signature_exact(d)
+            assert res.constant == 0
+            assert verdict(res) == verdict(rational_signature_exact(d))
+            # one weight raised by 1 breaks constancy at the same degree
+            # on both routes
+            p, *rest = d.points
+            bumped = data((p.sign, *p.weights[:-1], p.weights[-1] + 1),
+                          *((q.sign, *q.weights) for q in rest))
+            assert verdict(signature_exact(bumped)) == verdict(
+                rational_signature_exact(bumped)
+            )
+
 
 class TestPolynomials:
     def test_quotient_geometric(self):
@@ -136,6 +209,62 @@ class TestPolynomials:
         p = RationalPolynomial.one_plus(2) - RationalPolynomial.one_plus(2)
         assert p.is_zero() and p.coeffs == {}
 
-    def test_default_order(self):
-        d = data((1, 7, 2, 3), (-1, 7, 2, 3))
-        assert default_order(d) == 2 * (7 + 7) + 1
+
+# --- algebraic invariances of the kernel ------------------------------------
+
+@st.composite
+def fixed_point_data(draw, max_points=6, arities=(1, 2, 3), max_weight=8):
+    arity = draw(st.sampled_from(arities))
+    point = st.tuples(
+        st.sampled_from((-1, 1)),
+        *(st.integers(1, max_weight) for _ in range(arity)),
+    )
+    return data(*draw(st.lists(point, min_size=1, max_size=max_points)))
+
+
+@st.composite
+def constant_data(draw):
+    """Data whose signature sum is constant: dimension-4 unions of
+    projective-plane actions (signature +-1) and mirror unions (0)."""
+    parts = []
+    for _ in range(draw(st.integers(1, 3))):
+        a, b = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+        part = gen_cp2(a, b)
+        if draw(st.booleans()):
+            part = reverse_orientation(part)
+        parts.append(part)
+    if draw(st.booleans()):
+        d = draw(fixed_point_data(max_points=3, arities=(2,), max_weight=6))
+        parts.append(disjoint_union(d, reverse_orientation(d)))
+    out = parts[0]
+    for part in parts[1:]:
+        out = disjoint_union(out, part)
+    return out
+
+
+class TestKernelProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(fixed_point_data(), st.data())
+    def test_point_order_invariance(self, d, draws):
+        shuffled = FixedPointData(tuple(draws.draw(st.permutations(d.points))))
+        assert signature_exact(shuffled) == signature_exact(d)
+        assert signature_series(shuffled, 12) == signature_series(d, 12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(fixed_point_data())
+    def test_reversal_negates_constant_keeps_witness(self, d):
+        res = signature_exact(d)
+        rev = signature_exact(reverse_orientation(d))
+        assert rev.witness_degree == res.witness_degree
+        assert rev.is_constant == res.is_constant
+        if res.is_constant:
+            assert rev.constant == -res.constant
+
+    @settings(max_examples=100, deadline=None)
+    @given(constant_data(), constant_data())
+    def test_constant_additive_under_union(self, d1, d2):
+        r1, r2 = signature_exact(d1), signature_exact(d2)
+        assert r1.is_constant and r2.is_constant
+        union = signature_exact(disjoint_union(d1, d2))
+        assert union.constant == r1.constant + r2.constant
+        assert union.constant == signature_value(d1) + signature_value(d2)
