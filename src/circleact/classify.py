@@ -4,13 +4,21 @@ Three shapes of input are decidable: exactly two fixed points (sphere
 rotation), four fixed points in dimension 6 (two-sphere union vs. linear
 projective-space type), and dimension-4 data (membership in the generating
 grammar: add a coprime rotation pair, or split a positive/negative datum).
+``classify`` dispatches on the shape.
+
+Both searches are direct. The projective-space parameters are read off the
+negative points (at most 12 candidates, whatever the weights), and every
+match is among them. Dimension-4 membership is a reverse search with full
+backtracking over a count state, iterative, so its depth is not bounded by
+the recursion limit.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -130,7 +138,12 @@ def cp3_template(a: int, b: int, c: int) -> FixedPointData:
 
 
 def classify_6d4fp(d: FixedPointData) -> Classification:
-    """Classify 4-point, arity-3 data; reports every matching case."""
+    """Classify 4-point, arity-3 data; reports every matching case.
+
+    Case 1 tries the three ways to pair up the four points. Case 2 is
+    decided from the negative points alone (see ``_case2_params``), so the
+    cost does not depend on the size of the weights.
+    """
     if len(d.points) != 4 or d.arity != 3:
         raise ValueError("needs exactly 4 points of arity 3")
     matches: list = []
@@ -150,15 +163,7 @@ def classify_6d4fp(d: FixedPointData) -> Classification:
                 seen_pairs.add(key)
                 matches.append(Case1Match((key[0], key[1])))
 
-    # Case 2: exhaustive parameter search; the template's largest entry is
-    # a+b+c, so a+b+c is bounded by the largest weight of the data.
-    target = Counter(d.as_multiset())
-    max_weight = max(w for p in pts for w in p.weights)
-    for a in range(1, max_weight + 1):
-        for b in range(1, max_weight - a + 1):
-            for c in range(1, max_weight - a - b + 1):
-                if Counter(cp3_template(a, b, c).as_multiset()) == target:
-                    matches.append(Case2Match(a, b, c))
+    matches.extend(Case2Match(a, b, c) for a, b, c in _case2_params(d))
 
     if matches:
         for m in matches:
@@ -176,6 +181,57 @@ def classify_6d4fp(d: FixedPointData) -> Classification:
     return Classification((NotInClassification(reason, failed),))
 
 
+def _case2_params(d: FixedPointData) -> list[tuple[int, int, int]]:
+    """Every (a, b, c) whose template equals the data, in sorted order.
+
+    The template's negative points are {a, b, b+c} and {c, b+c, a+b+c}, so
+    in any match one negative point of the data holds the weights
+    (a, b, b+c) in some order. Reading (a, b, b+c) off each ordering of
+    each negative point's weights (at most 2 x 6 of them, keeping c >= 1)
+    therefore yields every match among its candidates; a candidate is kept
+    when its template has the same multiset as the data.
+    """
+    candidates = {
+        (a, b, bc - b)
+        for p in d.points
+        if p.sign == -1
+        for a, b, bc in itertools.permutations(p.weights)
+        if bc > b
+    }
+    return sorted(t for t in candidates if cp3_template(*t).same_as(d))
+
+
+class UnsupportedShape(ValueError):
+    """No classification theorem covers data of this shape."""
+
+
+def figure1_taggable(d: FixedPointData) -> bool:
+    """Four points of arity 3 whose signs sum to 0: the data whose
+    admissible multigraphs are matched against the shapes of Figure 1."""
+    return len(d.points) == 4 and d.arity == 3 and sum(p.sign for p in d.points) == 0
+
+
+def classify(d: FixedPointData, effective: bool = False) -> Classification:
+    """Classify data of any decidable shape, dispatching on the shape.
+
+    Two points of arity other than 2 go to ``classify_two_fixed_points``,
+    four points of arity 3 to ``classify_6d4fp`` and arity-2 data to
+    ``membership_4d`` (``effective`` is passed on). Empty data and every
+    other shape raise ``UnsupportedShape``.
+    """
+    if not d.points:
+        raise UnsupportedShape("empty data has no classification")
+    if len(d.points) == 2 and d.arity != 2:
+        return classify_two_fixed_points(d)
+    if len(d.points) == 4 and d.arity == 3:
+        return classify_6d4fp(d)
+    if d.arity == 2:
+        return membership_4d(d, effective=effective)
+    raise UnsupportedShape(
+        f"unsupported shape ({len(d.points)} points, arity {d.arity})"
+    )
+
+
 def _assert_substitution(match, d: FixedPointData) -> None:
     """Replaying the reported parameters must reproduce the input."""
     if isinstance(match, Case1Match):
@@ -191,46 +247,187 @@ def _assert_substitution(match, d: FixedPointData) -> None:
 
 # --- dimension-4 grammar ---------------------------------------------------
 
-def _state_key(points) -> tuple:
-    return tuple(sorted((p.sign, p.weights) for p in points))
-
-
 def replay_4d_trace(trace) -> FixedPointData:
     """Apply a forward generation trace starting from the empty collection."""
-    points: list[FixedPointDatum] = []
+    points: Counter = Counter()
     for step in trace:
         op = step["op"]
         if op == "add_pair":
             a, b = step["params"]
             if math.gcd(a, b) != 1:
                 raise ValueError(f"add_pair({a},{b}) needs coprime parameters")
-            points.append(FixedPointDatum(1, (a, b)))
-            points.append(FixedPointDatum(-1, (a, b)))
+            points[FixedPointDatum(1, (a, b))] += 1
+            points[FixedPointDatum(-1, (a, b))] += 1
         elif op in ("split_plus", "split_minus"):
             sign = 1 if op == "split_plus" else -1
             c, dd = step["params"]
             old = FixedPointDatum(sign, (c, dd))
-            points.remove(old)
-            points.append(FixedPointDatum(sign, (c, c + dd)))
-            points.append(FixedPointDatum(sign, (dd, c + dd)))
+            if not points[old]:
+                raise ValueError(f"{op}({c},{dd}) needs the datum {old}")
+            points[old] -= 1
+            points[FixedPointDatum(sign, (c, c + dd))] += 1
+            points[FixedPointDatum(sign, (dd, c + dd))] += 1
         elif op == "normalize_gcd":
             g = step["params"][0]
-            points = [
-                FixedPointDatum(p.sign, tuple(w * g for w in p.weights))
-                for p in points
-            ]
+            points = Counter(
+                {
+                    FixedPointDatum(p.sign, tuple(w * g for w in p.weights)): n
+                    for p, n in points.items()
+                }
+            )
         else:
             raise ValueError(f"unknown step {op!r}")
-    return FixedPointData(tuple(points))
+    return FixedPointData(tuple(points.elements()))
+
+
+class _ReverseState:
+    """The multiset under reverse search, with its reverse moves kept current.
+
+    A point is a ``(sign, weights)`` pair. ``copies`` maps each point present
+    to the stamps of its copies, oldest first. Stamps grow with insertion,
+    so ordering points by their oldest stamp orders them as a list that
+    drops first occurrences and appends new points would. ``pairs`` holds
+    the coprime weights w with both (+, w) and (-, w) present; ``splits``
+    holds the (sign, lo, hi) whose products (lo, lo+hi) and (hi, lo+hi) are
+    both present. A count change refreshes both in O(1). ``hash`` is the
+    sum of the hashes of all copies: equal multisets have equal sums, so it
+    filters memo lookups before an exact key is built.
+    """
+
+    def __init__(self, points):
+        self.copies: dict = {}
+        self.pairs: set = set()
+        self.splits: set = set()
+        self.hash = 0
+        self.stamp = 0
+        for p in points:
+            self.push((p.sign, p.weights))
+
+    def count(self, point) -> int:
+        return len(self.copies.get(point, ()))
+
+    def key(self) -> frozenset:
+        return frozenset((p, len(q)) for p, q in self.copies.items())
+
+    def push(self, point, stamp=None) -> None:
+        """Add a new copy at the back, or put a removed one back in front."""
+        queue = self.copies.setdefault(point, deque())
+        if stamp is None:
+            self.stamp += 1
+            queue.append(self.stamp)
+        else:
+            queue.appendleft(stamp)
+        self.hash += hash(point)
+        self._refresh(point)
+
+    def pop(self, point, oldest=True) -> int:
+        queue = self.copies[point]
+        stamp = queue.popleft() if oldest else queue.pop()
+        if not queue:
+            del self.copies[point]
+        self.hash -= hash(point)
+        self._refresh(point)
+        return stamp
+
+    def _refresh(self, point) -> None:
+        sign, (x, y) = point
+        if x < y:  # (x, y) is a product of splitting {x, y - x}
+            lo, hi = sorted((x, y - x))
+            need = 2 if lo == hi else 1
+            if self.count((sign, (lo, y))) >= need and self.count((sign, (hi, y))) >= need:
+                self.splits.add((sign, lo, hi))
+            else:
+                self.splits.discard((sign, lo, hi))
+        w = (x, y)
+        if self.count((1, w)) and self.count((-1, w)) and math.gcd(x, y) == 1:
+            self.pairs.add(w)
+        else:
+            self.pairs.discard(w)
+
+    def moves(self) -> list[dict]:
+        """The forward steps that could have come last, in search order.
+
+        Rotation pairs first, by weights; then splits, largest produced
+        weight first, + before -, and then the split one of whose products
+        was inserted first.
+        """
+        def order(split):
+            sign, lo, hi = split
+            top = lo + hi
+            first = min(self.copies[(sign, (lo, top))][0], self.copies[(sign, (hi, top))][0])
+            return -top, -sign, first
+
+        return [{"op": "add_pair", "params": w} for w in sorted(self.pairs)] + [
+            {"op": "split_plus" if sign == 1 else "split_minus", "params": (lo, hi)}
+            for sign, lo, hi in sorted(self.splits, key=order)
+        ]
+
+    def unapply(self, step) -> tuple:
+        """Take back a forward step; returns the stamps ``reapply`` needs."""
+        a, b = step["params"]
+        if step["op"] == "add_pair":
+            return self.pop((1, (a, b))), self.pop((-1, (a, b)))
+        sign = 1 if step["op"] == "split_plus" else -1
+        stamps = self.pop((sign, (a, a + b))), self.pop((sign, (b, a + b)))
+        self.push((sign, (a, b)))
+        return stamps
+
+    def reapply(self, step, stamps) -> None:
+        a, b = step["params"]
+        if step["op"] == "add_pair":
+            self.push((-1, (a, b)), stamps[1])
+            self.push((1, (a, b)), stamps[0])
+            return
+        sign = 1 if step["op"] == "split_plus" else -1
+        self.pop((sign, (a, b)), oldest=False)
+        self.push((sign, (b, a + b)), stamps[1])
+        self.push((sign, (a, a + b)), stamps[0])
+
+
+def _reverse_search(points) -> Optional[list[dict]]:
+    """Forward trace generating ``points``, or None if there is none.
+
+    Depth-first over the reverse moves of ``_ReverseState.moves``, with full
+    backtracking and an explicit stack, so the depth is bounded by memory
+    and not by the interpreter's recursion limit. Every reverse step lowers
+    the total weight sum, so the search ends. States whose every move
+    failed are memoized as dead for the rest of this call.
+    """
+    state = _ReverseState(points)
+    if not state.copies:
+        return []
+    dead: set = set()
+    dead_hashes: set = set()
+    path: list = []  # (step, stamps) of each reverse move taken, root first
+    stack = [iter(state.moves())]
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            dead.add(state.key())
+            dead_hashes.add(state.hash)
+            stack.pop()
+            if path:
+                state.reapply(*path.pop())
+            continue
+        path.append((step, state.unapply(step)))
+        if not state.copies:
+            return [s for s, _ in reversed(path)]
+        if state.hash in dead_hashes and state.key() in dead:
+            state.reapply(*path.pop())
+            continue
+        stack.append(iter(state.moves()))
+    return None
 
 
 def membership_4d(d: FixedPointData, effective: bool = True) -> Classification:
     """Decide whether arity-2 data is generated by the grammar.
 
-    Reverse search with full backtracking: undo a split (replace the two
-    split products by their source) or delete a coprime rotation pair.
-    Every reverse step strictly decreases the total weight sum, so the
-    search terminates; failed states are memoized.
+    The grammar adds a coprime rotation pair {+,a,b},{-,a,b} or splits a
+    datum {s,c,d} into {s,c,c+d},{s,d,c+d}. The reverse search tries every
+    move that takes a step back and backtracks on failure, so it finds a
+    trace whenever one exists. With the moves kept current per count change
+    and the memo key built only for dead states, a split chain of n steps
+    costs O(n log n), most of it in the final replay check.
     """
     if d.points and d.arity != 2:
         raise ValueError("needs arity-2 data")
@@ -253,58 +450,7 @@ def membership_4d(d: FixedPointData, effective: bool = True) -> Classification:
             ]
             prefix = [{"op": "normalize_gcd", "params": (g,)}]
 
-    dead: set = set()
-
-    def search(state: list[FixedPointDatum]) -> Optional[list[dict]]:
-        if not state:
-            return []
-        key = _state_key(state)
-        if key in dead:
-            return None
-        # reverse add_pair first: delete {+,a,b},{-,a,b} with gcd(a,b)=1
-        counts = Counter(state)
-        for p in sorted(counts, key=lambda p: (p.weights, p.sign)):
-            if p.sign != 1:
-                continue
-            partner = FixedPointDatum(-1, p.weights)
-            if counts[partner] and math.gcd(*p.weights) == 1:
-                rest = list(state)
-                rest.remove(p)
-                rest.remove(partner)
-                sub = search(rest)
-                if sub is not None:
-                    return sub + [{"op": "add_pair", "params": p.weights}]
-        # reverse splits, largest produced weight first
-        candidates = []
-        for sign in (1, -1):
-            same = [p for p in state if p.sign == sign]
-            for p in same:
-                c, top = p.weights
-                dd = top - c
-                if dd < 1:
-                    continue
-                sibling = FixedPointDatum(sign, tuple(sorted((dd, top))))
-                rest = list(state)
-                rest.remove(p)
-                if sibling in rest:
-                    rest.remove(sibling)
-                    source = FixedPointDatum(sign, tuple(sorted((c, dd))))
-                    candidates.append((top, sign, (c, dd), rest + [source]))
-        candidates.sort(key=lambda item: -item[0])
-        seen = set()
-        for top, sign, (c, dd), new_state in candidates:
-            k = (sign, tuple(sorted((c, dd))), top, _state_key(new_state))
-            if k in seen:
-                continue
-            seen.add(k)
-            sub = search(new_state)
-            if sub is not None:
-                op = "split_plus" if sign == 1 else "split_minus"
-                return sub + [{"op": op, "params": tuple(sorted((c, dd)))}]
-        dead.add(key)
-        return None
-
-    trace = search(points)
+    trace = _reverse_search(points)
     if trace is None:
         return Classification(
             (NotInClassification("reverse search exhausted; not generated"),)

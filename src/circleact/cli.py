@@ -12,11 +12,7 @@ import json
 import sys
 
 from . import constraints, core, rewrite, sweep
-from .classify import (
-    classify_6d4fp,
-    classify_two_fixed_points,
-    membership_4d,
-)
+from .classify import classify, figure1_taggable
 from .generators import GENERATORS
 from .multigraph import NoMatchingError, enumerate_admissible, match_figure1, serialize_graph
 from .rewrite import ReductionFailure, collection_from_data, reduce_to_empty
@@ -64,22 +60,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    d = _read_input(args.input)
-    if not d.points:
-        print("error: empty data has no classification", file=sys.stderr)
-        return ERROR_EXIT
-    if len(d.points) == 2 and d.arity != 2:
-        verdict = classify_two_fixed_points(d)
-    elif d.arity == 3 and len(d.points) == 4:
-        verdict = classify_6d4fp(d)
-    elif d.arity == 2:
-        verdict = membership_4d(d, effective=args.effective)
-    else:
-        print(
-            f"error: unsupported shape ({len(d.points)} points, arity {d.arity})",
-            file=sys.stderr,
-        )
-        return ERROR_EXIT
+    verdict = classify(_read_input(args.input), effective=args.effective)
     _emit(verdict.to_json(), args)
     return PASS_EXIT if verdict.classified else FAIL_EXIT
 
@@ -91,11 +72,7 @@ def cmd_graphs(args) -> int:
     except NoMatchingError as exc:
         print(f"weight parity fails: {exc}", file=sys.stderr)
         return FAIL_EXIT
-    taggable = (
-        len(d.points) == 4
-        and d.arity == 3
-        and sum(p.sign for p in d.points) == 0
-    )
+    taggable = figure1_taggable(d)
     for i, g in enumerate(graphs):
         tag = None
         if taggable:

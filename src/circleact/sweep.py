@@ -15,12 +15,7 @@ from typing import Iterator
 
 from .core import FixedPointData, FixedPointDatum
 from . import constraints
-from .classify import (
-    NotInClassification,
-    classify_6d4fp,
-    classify_two_fixed_points,
-    membership_4d,
-)
+from .classify import NotInClassification, UnsupportedShape, classify, figure1_taggable
 from .multigraph import enumerate_admissible, match_figure1
 
 
@@ -76,13 +71,9 @@ def _cheap_then_full_checks(d: FixedPointData) -> tuple[bool, tuple[str, ...]]:
 
 
 def classify_label(d: FixedPointData) -> str:
-    if len(d.points) == 2 and d.arity != 2:
-        verdict = classify_two_fixed_points(d)
-    elif len(d.points) == 4 and d.arity == 3:
-        verdict = classify_6d4fp(d)
-    elif d.arity == 2:
-        verdict = membership_4d(d, effective=False)
-    else:
+    try:
+        verdict = classify(d)
+    except UnsupportedShape:
         return ""
     labels = []
     for m in verdict.matches:
@@ -101,12 +92,7 @@ def sweep(points: int = 4, arity: int = 3, max_weight: int = 3) -> list[SweepRow
         tags: tuple[str, ...] = ()
         classification = ""
         if ok:
-            taggable = (
-                len(d.points) == 4
-                and d.arity == 3
-                and sum(p.sign for p in d.points) == 0
-            )
-            if taggable:
+            if figure1_taggable(d):
                 found = []
                 for g in enumerate_admissible(d):
                     case = match_figure1(g)

@@ -1,4 +1,6 @@
+from circleact.core import FixedPointData, data
 from circleact.sweep import (
+    classify_label,
     enumerate_candidates,
     survivors,
     sweep,
@@ -41,3 +43,15 @@ class TestSweep:
         lines = out.strip().splitlines()
         assert lines[0] == "data,checks_passed,failed_checks,figure1_tags,classification"
         assert len(lines) == len(rows) + 1
+
+
+class TestClassifyLabel:
+    def test_labels(self):
+        petrie = data((1, 7, 2, 3), (-1, 7, 2, 3), (1, 5, 2, 3), (-1, 5, 2, 3))
+        assert classify_label(petrie) == "Case1"
+        assert classify_label(data((1, 1, 2), (-1, 1, 2))) == "FourDimReachable"
+        assert classify_label(data((1, 1, 1))) == "NotInClassification"
+
+    def test_unsupported_shapes_have_no_label(self):
+        assert classify_label(data((1, 1, 2, 3), (-1, 1, 2, 3), (1, 1, 2, 3))) == ""
+        assert classify_label(FixedPointData(())) == ""
