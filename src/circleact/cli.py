@@ -143,6 +143,14 @@ def cmd_gen(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    for flag, value, least in (
+        ("--points", args.points, 0),
+        ("--arity", args.arity, 1),
+        ("--max-weight", args.max_weight, 1),
+    ):
+        if value < least:
+            print(f"error: {flag} must be at least {least}, got {value}", file=sys.stderr)
+            return ERROR_EXIT
     if args.max_weight > args.cap:
         print(
             f"error: max-weight {args.max_weight} exceeds cap {args.cap}",

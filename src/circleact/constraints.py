@@ -176,17 +176,6 @@ def check_uniform_weight_balance(d: FixedPointData) -> CheckReport:
     )
 
 
-def _perfect_pairings(indices: list[int]):
-    """All partitions of indices into unordered pairs."""
-    if not indices:
-        yield []
-        return
-    first, rest = indices[0], indices[1:]
-    for i, partner in enumerate(rest):
-        for sub in _perfect_pairings(rest[:i] + rest[i + 1 :]):
-            yield [(first, partner)] + sub
-
-
 def _pair_witness(p, q, w: int):
     """Search for (sigma, nu) making the residue and sign relations hold.
 
@@ -240,20 +229,36 @@ def check_congruence_pairing(d: FixedPointData, w: int) -> CheckReport:
         return CheckReport(
             name, FAIL, f"odd number of points carry weight {w}: {len(carriers)}"
         )
-    for pairing in _perfect_pairings(carriers):
-        assignments = []
-        for i, j in pairing:
-            witness = _pair_witness(d.points[i], d.points[j], w)
-            if witness is None:
-                break
-            assignments.append({"pair": (i, j), **witness})
-        else:
-            return CheckReport(
-                name,
-                PASS,
-                f"pairing found: {[a['pair'] for a in assignments]}",
-                {"pairing": assignments},
-            )
+    witnesses: dict[tuple[int, int], Optional[dict]] = {}
+
+    def witness(i: int, j: int) -> Optional[dict]:
+        if (i, j) not in witnesses:
+            witnesses[(i, j)] = _pair_witness(d.points[i], d.points[j], w)
+        return witnesses[(i, j)]
+
+    def first_pairing(rest: list[int]) -> Optional[list[dict]]:
+        """The first pairing of rest, in the order that pairs rest[0] with
+        each later point in turn, whose pairs all have witnesses."""
+        if not rest:
+            return []
+        first = rest[0]
+        for k in range(1, len(rest)):
+            found = witness(first, rest[k])
+            if found is None:
+                continue
+            tail = first_pairing(rest[1:k] + rest[k + 1 :])
+            if tail is not None:
+                return [{"pair": (first, rest[k]), **found}] + tail
+        return None
+
+    assignments = first_pairing(carriers)
+    if assignments is not None:
+        return CheckReport(
+            name,
+            PASS,
+            f"pairing found: {[a['pair'] for a in assignments]}",
+            {"pairing": assignments},
+        )
     return CheckReport(
         name,
         FAIL,

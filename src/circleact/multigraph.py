@@ -6,6 +6,15 @@ values across points with no self-loops, and every edge labeled by one of
 the two smallest positive-sign weights must join opposite-sign vertices.
 For 4 vertices in dimension 6 the possible shapes reduce to five templates
 (cases A-E), recognized up to swapping the two vertices of either sign.
+
+Graphs are built directly.  For each weight value, the smallest vertex that
+still carries the value splits its remaining count over the higher vertices
+(only the opposite-sign ones for the two small labels) in every possible
+way, and the rest recurses.  This lists each distinct loop-free pair
+multiset once, where walking the occurrences visits all (m-1)!! matchings of
+m occurrences and then deduplicates.  A graph is one choice per value, so no
+graph is built twice; ``cap`` bounds both the per-value lists and the graph
+count.
 """
 
 from __future__ import annotations
@@ -89,17 +98,62 @@ def describes(g: LabeledMultigraph, d: FixedPointData) -> bool:
     return True
 
 
-def _matchings(occurrences: list[int]):
-    """Perfect matchings of a list of vertex ids (with repetition) into
-    unordered pairs; no dedup here, caller canonicalizes."""
-    if not occurrences:
-        yield []
+def _shares(need: int, caps: list[int]):
+    """Every way to write need as x_0 + x_1 + ... with 0 <= x_k <= caps[k],
+    largest x_0 first."""
+    if not caps:
+        if not need:
+            yield ()
         return
-    first, rest = occurrences[0], occurrences[1:]
-    for i in range(len(rest)):
-        pair = (min(first, rest[i]), max(first, rest[i]))
-        for sub in _matchings(rest[:i] + rest[i + 1 :]):
-            yield [pair] + sub
+    rest = sum(caps[1:])
+    for x in range(min(need, caps[0]), max(0, need - rest) - 1, -1):
+        for tail in _shares(need - x, caps[1:]):
+            yield (x,) + tail
+
+
+def _any_pair(u: int, v: int) -> bool:
+    return True
+
+
+def _loop_free_pairings(
+    degrees: dict[int, int], allowed, limit: int
+) -> list[tuple[tuple[int, int], ...]]:
+    """Distinct multisets of pairs (u, v), u < v, in which each vertex u
+    occurs degrees[u] times, using only pairs for which allowed(u, v) holds;
+    each comes out once, as a sorted tuple.  Stops after limit + 1 of them.
+
+    The smallest vertex with remaining degree splits that degree over the
+    higher vertices in every possible way, and the rest recurses."""
+    vertices = sorted(v for v, c in degrees.items() if c)
+    left = [degrees[v] for v in vertices]
+    n = len(vertices)
+    out: list[tuple[tuple[int, int], ...]] = []
+    pairs: list[tuple[int, int]] = []
+
+    def close(i: int) -> None:
+        while i < n and not left[i]:
+            i += 1
+        if i == n:
+            out.append(tuple(pairs))
+            return
+        u = vertices[i]
+        partners = [j for j in range(i + 1, n) if left[j] and allowed(u, vertices[j])]
+        need, left[i] = left[i], 0
+        mark = len(pairs)
+        for shares in _shares(need, [left[j] for j in partners]):
+            for j, x in zip(partners, shares):
+                left[j] -= x
+                pairs.extend([(u, vertices[j])] * x)
+            close(i + 1)
+            for j, x in zip(partners, shares):
+                left[j] += x
+            del pairs[mark:]
+            if len(out) > limit:
+                break
+        left[i] = need
+
+    close(0)
+    return out
 
 
 def small_label_values(d: FixedPointData) -> set[int]:
@@ -116,47 +170,45 @@ def small_label_values(d: FixedPointData) -> set[int]:
 def enumerate_admissible(
     d: FixedPointData, cap: int = 10 ** 6
 ) -> list[LabeledMultigraph]:
-    """All graphs obtained by perfectly matching each weight value's
-    occurrences across points, without self-loops, with the opposite-sign
-    constraint on the two smallest positive-class values.  Deduplicated and
-    returned in lexicographic edge order."""
+    """All graphs obtained by pairing each weight value's occurrences across
+    points, without self-loops, with the opposite-sign constraint on the two
+    smallest positive-class values, in lexicographic edge order.
+
+    Each value's distinct pair multisets are listed directly, so every
+    combination of them is a distinct graph and nothing is deduplicated;
+    more than ``cap`` graphs raise NoMatchingError."""
     parity = check_weight_parity(d)
     if parity.failed:
         raise NoMatchingError(parity.witness)
     vertices = tuple((i, p.sign) for i, p in enumerate(d.points))
     opposite_only = small_label_values(d)
-    signs = {i: p.sign for i, p in enumerate(d.points)}
+    signs = [p.sign for p in d.points]
 
-    per_value: list[tuple[int, list[tuple[tuple[int, int], ...]]]] = []
-    occurrences_by_value: dict[int, list[int]] = {}
+    def opposite(u: int, v: int) -> bool:
+        return signs[u] != signs[v]
+
+    degrees_by_value: dict[int, dict[int, int]] = {}
     for i, p in enumerate(d.points):
         for w in p.weights:
-            occurrences_by_value.setdefault(w, []).append(i)
-    for value in sorted(occurrences_by_value):
-        occ = occurrences_by_value[value]
-        options = set()
-        for matching in _matchings(occ):
-            if any(u == v for u, v in matching):
-                continue  # self-loop
-            if value in opposite_only and any(
-                signs[u] == signs[v] for u, v in matching
-            ):
-                continue
-            options.add(tuple(sorted(matching)))
+            at = degrees_by_value.setdefault(w, {})
+            at[i] = at.get(i, 0) + 1
+    edge_options: list[list[tuple[Edge, ...]]] = []
+    for value in sorted(degrees_by_value):
+        allowed = opposite if value in opposite_only else _any_pair
+        options = _loop_free_pairings(degrees_by_value[value], allowed, cap)
         if not options:
             return []
-        per_value.append((value, sorted(options)))
+        edge_options.append(
+            [tuple((u, v, value) for u, v in pairs) for pairs in options]
+        )
 
     graphs = []
-    for combo in itertools.product(*(options for _, options in per_value)):
-        edges = []
-        for (value, _), matching in zip(per_value, combo):
-            edges.extend((u, v, value) for u, v in matching)
-        graphs.append(LabeledMultigraph(vertices, tuple(edges)))
+    for combo in itertools.product(*edge_options):
+        graphs.append(LabeledMultigraph(vertices, sum(combo, ())))
         if len(graphs) > cap:
             raise NoMatchingError(f"admissible graph cap {cap} exceeded")
-    unique = sorted(set(graphs), key=lambda g: g.edges)
-    return unique
+    graphs.sort(key=lambda g: g.edges)
+    return graphs
 
 
 # --- Figure recognition for 4 vertices in dimension 6 ----------------------

@@ -5,6 +5,15 @@ points, arity, weight bound) up to point permutation, runs the constraint
 suite with cheap checks first, tests for an admissible 4-vertex multigraph
 matching one of the five shapes, and cross-tabulates the survivors against
 the classification.
+
+The per-candidate work is done once per point kind, before the walk: each
+of the 2·C(W+arity−1, arity) kinds gets its printed form and a weight-parity
+mask (bit w set iff w occurs an odd number of times in the kind).  A
+candidate is a multiset of kind indices; it fails weight parity exactly when
+the XOR of its kinds' masks is nonzero, and then its row is written without
+building a ``FixedPointData``.  Only the zero-mask candidates (16,786 of
+123,410 at four points, arity 3, W = 4) run the full check suite, the graph
+tagging and the classification.
 """
 
 from __future__ import annotations
@@ -19,21 +28,31 @@ from .classify import NotInClassification, UnsupportedShape, classify, figure1_t
 from .multigraph import enumerate_admissible, match_figure1
 
 
+def point_kinds(arity: int, max_weight: int) -> list[FixedPointDatum]:
+    """Every point of the given arity with weights <= max_weight, sorted by
+    (sign, weights)."""
+    weight_tuples = list(
+        itertools.combinations_with_replacement(range(1, max_weight + 1), arity)
+    )
+    return [FixedPointDatum(sign, ws) for sign in (-1, 1) for ws in weight_tuples]
+
+
+def parity_mask(p: FixedPointDatum) -> int:
+    """Bit w is set iff the weight w occurs an odd number of times in p."""
+    mask = 0
+    for w in p.weights:
+        mask ^= 1 << w
+    return mask
+
+
 def enumerate_candidates(
     points: int, arity: int, max_weight: int
 ) -> Iterator[FixedPointData]:
     """All data with the given shape and weights <= max_weight, canonical
     up to permutation of the point list."""
-    weight_tuples = list(
-        itertools.combinations_with_replacement(range(1, max_weight + 1), arity)
-    )
-    datums = [
-        FixedPointDatum(sign, ws)
-        for sign in (-1, 1)
-        for ws in weight_tuples
-    ]
-    datums.sort(key=lambda p: (p.sign, p.weights))
-    for combo in itertools.combinations_with_replacement(datums, points):
+    for combo in itertools.combinations_with_replacement(
+        point_kinds(arity, max_weight), points
+    ):
         yield FixedPointData(combo)
 
 
@@ -84,31 +103,42 @@ def classify_label(d: FixedPointData) -> str:
     return "+".join(sorted(set(labels)))
 
 
+def _checked_row(d: FixedPointData, serialized: str) -> SweepRow:
+    """The row of a candidate that passes weight parity."""
+    ok, failed = _cheap_then_full_checks(d)
+    tags: tuple[str, ...] = ()
+    classification = ""
+    if ok:
+        if figure1_taggable(d):
+            found = []
+            for g in enumerate_admissible(d):
+                case = match_figure1(g)
+                if case is not None:
+                    found.append(case.tag)
+            tags = tuple(sorted(set(found)))
+        classification = classify_label(d)
+    return SweepRow(serialized, ok, failed, tags, classification)
+
+
+_PARITY_FAILED = ("weight_parity",)
+
+
 def sweep(points: int = 4, arity: int = 3, max_weight: int = 3) -> list[SweepRow]:
     """Full oracle run; rows are emitted for every candidate, sorted."""
+    kinds = point_kinds(arity, max_weight)
+    texts = [str(p) for p in kinds]
+    masks = [parity_mask(p) for p in kinds]
     rows = []
-    for d in enumerate_candidates(points, arity, max_weight):
-        ok, failed = _cheap_then_full_checks(d)
-        tags: tuple[str, ...] = ()
-        classification = ""
-        if ok:
-            if figure1_taggable(d):
-                found = []
-                for g in enumerate_admissible(d):
-                    case = match_figure1(g)
-                    if case is not None:
-                        found.append(case.tag)
-                tags = tuple(sorted(set(found)))
-            classification = classify_label(d)
-        rows.append(
-            SweepRow(
-                serialized="; ".join(str(p) for p in d.points),
-                checks_passed=ok,
-                failed_checks=failed,
-                figure1_tags=tags,
-                classification=classification,
-            )
-        )
+    for combo in itertools.combinations_with_replacement(range(len(kinds)), points):
+        mask = 0
+        for i in combo:
+            mask ^= masks[i]
+        serialized = "; ".join([texts[i] for i in combo])
+        if mask:
+            rows.append(SweepRow(serialized, False, _PARITY_FAILED, (), ""))
+        else:
+            d = FixedPointData(tuple(kinds[i] for i in combo))
+            rows.append(_checked_row(d, serialized))
     rows.sort(key=lambda r: r.serialized)
     return rows
 

@@ -25,6 +25,28 @@ def random_data(
     return FixedPointData(points)
 
 
+def even_data(
+    rng: random.Random, min_points: int = 2, max_points: int = 8, max_weight: int = 4
+) -> FixedPointData:
+    """Random data in which every weight value occurs an even number of
+    times: a random half of the weights, doubled, shuffled and dealt out to
+    points of one arity with random signs."""
+    while True:
+        k = rng.randint(min_points, max_points)
+        n = rng.randint(1, 3)
+        if k * n % 2 == 0:
+            break
+    half = [rng.randint(1, max_weight) for _ in range(k * n // 2)]
+    weights = half + half
+    rng.shuffle(weights)
+    return FixedPointData(
+        tuple(
+            FixedPointDatum(rng.choice((-1, 1)), tuple(weights[i * n:(i + 1) * n]))
+            for i in range(k)
+        )
+    )
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260824)

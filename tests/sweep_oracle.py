@@ -1,0 +1,178 @@
+"""The former generate-and-filter routes, for tests only.
+
+``circleact.sweep`` folds weight parity into the walk over point kinds,
+``circleact.multigraph`` lists each weight value's distinct loop-free pair
+multisets directly, and ``circleact.constraints`` backtracks over the
+congruence pairings with each pair's witness computed once.  This module
+keeps the implementations they replaced: the sweep that builds and checks
+every candidate, the graph enumeration over all (m-1)!! occurrence
+matchings followed by deduplication, and the pairing check that walks every
+perfect pairing and recomputes each pair's witness.  Tests require both
+routes to give the same rows, graphs and reports.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from circleact import constraints
+from circleact.classify import figure1_taggable
+from circleact.constraints import FAIL, INAPPLICABLE, PASS, CheckReport
+from circleact.core import FixedPointData
+from circleact.multigraph import (
+    LabeledMultigraph,
+    NoMatchingError,
+    match_figure1,
+    small_label_values,
+)
+from circleact.sweep import (
+    SweepRow,
+    _cheap_then_full_checks,
+    classify_label,
+    enumerate_candidates,
+)
+
+
+def sweep_by_filtering(points: int, arity: int, max_weight: int) -> list[SweepRow]:
+    """Every candidate built as data and run through the whole suite."""
+    rows = []
+    for d in enumerate_candidates(points, arity, max_weight):
+        ok, failed = _cheap_then_full_checks(d)
+        tags: tuple[str, ...] = ()
+        classification = ""
+        if ok:
+            if figure1_taggable(d):
+                found = []
+                for g in enumerate_admissible_by_matchings(d):
+                    case = match_figure1(g)
+                    if case is not None:
+                        found.append(case.tag)
+                tags = tuple(sorted(set(found)))
+            classification = classify_label(d)
+        rows.append(
+            SweepRow(
+                serialized="; ".join(str(p) for p in d.points),
+                checks_passed=ok,
+                failed_checks=failed,
+                figure1_tags=tags,
+                classification=classification,
+            )
+        )
+    rows.sort(key=lambda r: r.serialized)
+    return rows
+
+
+def _matchings(occurrences: list[int]):
+    """Perfect matchings of a list of vertex ids (with repetition) into
+    unordered pairs; no dedup here, caller canonicalizes."""
+    if not occurrences:
+        yield []
+        return
+    first, rest = occurrences[0], occurrences[1:]
+    for i in range(len(rest)):
+        pair = (min(first, rest[i]), max(first, rest[i]))
+        for sub in _matchings(rest[:i] + rest[i + 1 :]):
+            yield [pair] + sub
+
+
+def enumerate_admissible_by_matchings(
+    d: FixedPointData, cap: int = 10 ** 6
+) -> list[LabeledMultigraph]:
+    """Every occurrence matching of every weight value, filtered and
+    deduplicated."""
+    parity = constraints.check_weight_parity(d)
+    if parity.failed:
+        raise NoMatchingError(parity.witness)
+    vertices = tuple((i, p.sign) for i, p in enumerate(d.points))
+    opposite_only = small_label_values(d)
+    signs = {i: p.sign for i, p in enumerate(d.points)}
+
+    per_value: list[tuple[int, list[tuple[tuple[int, int], ...]]]] = []
+    occurrences_by_value: dict[int, list[int]] = {}
+    for i, p in enumerate(d.points):
+        for w in p.weights:
+            occurrences_by_value.setdefault(w, []).append(i)
+    for value in sorted(occurrences_by_value):
+        occ = occurrences_by_value[value]
+        options = set()
+        for matching in _matchings(occ):
+            if any(u == v for u, v in matching):
+                continue  # self-loop
+            if value in opposite_only and any(
+                signs[u] == signs[v] for u, v in matching
+            ):
+                continue
+            options.add(tuple(sorted(matching)))
+        if not options:
+            return []
+        per_value.append((value, sorted(options)))
+
+    graphs = []
+    for combo in itertools.product(*(options for _, options in per_value)):
+        edges = []
+        for (value, _), matching in zip(per_value, combo):
+            edges.extend((u, v, value) for u, v in matching)
+        graphs.append(LabeledMultigraph(vertices, tuple(edges)))
+        if len(graphs) > cap:
+            raise NoMatchingError(f"admissible graph cap {cap} exceeded")
+    return sorted(set(graphs), key=lambda g: g.edges)
+
+
+def _perfect_pairings(indices: list[int]):
+    """All partitions of indices into unordered pairs."""
+    if not indices:
+        yield []
+        return
+    first, rest = indices[0], indices[1:]
+    for i, partner in enumerate(rest):
+        for sub in _perfect_pairings(rest[:i] + rest[i + 1 :]):
+            yield [(first, partner)] + sub
+
+
+def congruence_pairing_by_enumeration(d: FixedPointData, w: int) -> CheckReport:
+    """The pairing check over every perfect pairing, in order, recomputing
+    each pair's witness inside every pairing."""
+    if w < 1:
+        raise ValueError("w must be positive")
+    name = f"congruence_pairing(w={w})"
+    all_weights = [x for p in d.points for x in p.weights]
+    multiples = sorted({x for x in all_weights if x != w and x % w == 0})
+    if multiples:
+        return CheckReport(
+            name, INAPPLICABLE, f"proper multiples of {w} occur as weights: {multiples}"
+        )
+    heavy = [p for p in d.points if list(p.weights).count(w) > 1]
+    if heavy:
+        return CheckReport(
+            name,
+            INAPPLICABLE,
+            f"a point carries weight {w} with multiplicity > 1: {heavy[0]}",
+        )
+    carriers = [i for i, p in enumerate(d.points) if w in p.weights]
+    if not carriers:
+        return CheckReport(name, PASS, f"no point carries weight {w}")
+    if len(carriers) % 2:
+        return CheckReport(
+            name, FAIL, f"odd number of points carry weight {w}: {len(carriers)}"
+        )
+    for pairing in _perfect_pairings(carriers):
+        assignments = []
+        for i, j in pairing:
+            witness = constraints._pair_witness(d.points[i], d.points[j], w)
+            if witness is None:
+                break
+            assignments.append({"pair": (i, j), **witness})
+        else:
+            return CheckReport(
+                name,
+                PASS,
+                f"pairing found: {[a['pair'] for a in assignments]}",
+                {"pairing": assignments},
+            )
+    return CheckReport(
+        name,
+        FAIL,
+        f"no perfect pairing of points {carriers} satisfies the mod-{w} "
+        "congruences and sign relation",
+        {"carriers": carriers},
+    )

@@ -1,7 +1,11 @@
+import contextlib
 import io
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circleact.cli import main
 
@@ -227,9 +231,67 @@ class TestOracle:
         code, _, err = run(capsys, "oracle", "--max-weight", "9", "--cap", "4")
         assert code == 2 and "cap" in err
 
+    @pytest.mark.parametrize(
+        "flag, value, least",
+        [
+            ("--points", "-1", 0),
+            ("--arity", "0", 1),
+            ("--arity", "-1", 1),
+            ("--max-weight", "0", 1),
+            ("--max-weight", "-3", 1),
+        ],
+    )
+    def test_out_of_range_arguments_exit_2(self, capsys, flag, value, least):
+        code, out, err = run(capsys, "oracle", flag, value)
+        assert code == 2 and out == ""
+        assert err == f"error: {flag} must be at least {least}, got {value}\n"
+
+    def test_zero_points_one_row(self, capsys):
+        code, out, err = run(capsys, "oracle", "--points", "0")
+        assert code == 0 and err == ""
+        assert out == (
+            "data,checks_passed,failed_checks,figure1_tags,classification\n"
+            '"",1,,,\n'
+        )
+
     def test_pipeline_gen_to_check(self, capsys, tmp_path):
         code, out, _ = run(capsys, "gen", "blowup", "--params", "2", "1", "2")
         p = tmp_path / "blowup.txt"
         p.write_text(out)
         code2, out2, _ = run(capsys, "check", str(p))
         assert code2 == 0 and "overall: PASS" in out2
+
+
+@st.composite
+def fuzzed_text(draw):
+    """At most 4 points of one arity <= 3 with weights <= 6; half the time
+    one token is replaced or appended by a bad sign, a zero or negative
+    weight, a non-integer or an empty string."""
+    arity = draw(st.integers(1, 3))
+    lines = [
+        [draw(st.sampled_from("+-"))]
+        + [str(draw(st.integers(1, 6))) for _ in range(arity)]
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    if lines and draw(st.booleans()):
+        line = lines[draw(st.integers(0, len(lines) - 1))]
+        at = draw(st.integers(0, len(line)))
+        token = draw(st.sampled_from(["*", "0", "-1", "x", "2.5", ""]))
+        line[at:at + 1] = [token]
+    return "".join(" ".join(line) + "\n" for line in lines)
+
+
+class TestFuzzedInput:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(["check", "classify", "graphs"]),
+        st.booleans(),
+        fuzzed_text(),
+    )
+    def test_exit_code_in_range(self, command, as_json, text):
+        argv = (["--json"] if as_json else []) + [command, "-"]
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch("sys.stdin", io.StringIO(text)):
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 1, 2)

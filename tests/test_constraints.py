@@ -16,7 +16,9 @@ from circleact.constraints import (
     overall_verdict,
     run_all,
 )
-from conftest import random_data
+from circleact import constraints
+from conftest import even_data, random_data
+from sweep_oracle import congruence_pairing_by_enumeration
 
 CP3_111 = data((1, 1, 2, 3), (-1, 1, 1, 2), (1, 1, 1, 2), (-1, 1, 2, 3))
 PETRIE = data((1, 7, 2, 3), (-1, 7, 2, 3), (1, 5, 2, 3), (-1, 5, 2, 3))
@@ -168,6 +170,58 @@ class TestCongruencePairing:
             r = check_congruence_pairing(d, 1)
             balanced = sum(signs) == 0
             assert r.status == (PASS if balanced else FAIL)
+
+
+def _report(r):
+    return (r.name, r.status, r.witness, r.detail)
+
+
+class TestCongruenceAgainstEnumeration:
+    """Backtracking with memoized pair witnesses against the walk over
+    every perfect pairing."""
+
+    def test_random_data(self, rng):
+        for _ in range(300):
+            d = (even_data if rng.random() < 0.7 else random_data)(
+                rng, max_points=8, max_weight=rng.choice((3, 5, 7))
+            )
+            for w in sorted({x for p in d.points for x in p.weights}):
+                assert _report(check_congruence_pairing(d, w)) == _report(
+                    congruence_pairing_by_enumeration(d, w)
+                ), (d, w)
+
+    def test_mixed_carriers(self, rng):
+        # 4-8 carriers of w = 7 with random signs and residues, so that both
+        # verdicts occur and the first pairing is often not the first tried
+        for _ in range(200):
+            k = rng.choice((4, 6, 8))
+            d = FixedPointData(
+                tuple(
+                    data((rng.choice((-1, 1)), 7, rng.randint(1, 3), rng.randint(1, 3))).points[0]
+                    for _ in range(k)
+                )
+            )
+            assert _report(check_congruence_pairing(d, 7)) == _report(
+                congruence_pairing_by_enumeration(d, 7)
+            ), d
+
+    def test_each_pair_witnessed_once(self, monkeypatch):
+        calls = []
+        original = constraints._pair_witness
+
+        def counted(p, q, w):
+            calls.append((p, q))
+            return original(p, q, w)
+
+        monkeypatch.setattr(constraints, "_pair_witness", counted)
+        k = 16
+        r = check_congruence_pairing(data(*[(1, 7, 1, 1)] * k), 7)
+        assert r.status == FAIL
+        assert len(calls) <= k * (k - 1) // 2
+        calls.clear()
+        balanced = data(*[(1, 7, 1, 1), (-1, 7, 1, 1), (1, 7, 2, 3), (-1, 7, 2, 3)] * 4)
+        r = check_congruence_pairing(balanced, 7)
+        assert r.status == PASS and len(calls) <= k * (k - 1) // 2
 
 
 class TestRunAll:

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circleact.core import (
     DimensionMismatchError,
@@ -214,3 +216,26 @@ class TestInvariants:
 
     def test_dimension(self):
         assert data((1, 1, 2, 3)).dimension == 6
+
+
+@st.composite
+def fixed_point_data(draw):
+    arity = draw(st.integers(1, 3))
+    point = st.builds(
+        FixedPointDatum,
+        st.sampled_from((-1, 1)),
+        st.lists(st.integers(1, 50), min_size=arity, max_size=arity).map(tuple),
+    )
+    return FixedPointData(tuple(draw(st.lists(point, max_size=6))))
+
+
+class TestRoundTripProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(fixed_point_data())
+    def test_text_round_trip(self, d):
+        assert parse(serialize(d)) == d
+
+    @settings(max_examples=200, deadline=None)
+    @given(fixed_point_data())
+    def test_json_round_trip(self, d):
+        assert from_json(to_json(d)) == d

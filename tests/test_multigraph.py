@@ -1,6 +1,9 @@
+import math
+from collections import Counter
+
 import pytest
 
-from circleact.core import FixedPointData, data
+from circleact.core import FixedPointData, data, disjoint_union
 from circleact.generators import gen_cp3, gen_s6_pair
 from circleact.multigraph import (
     LabeledMultigraph,
@@ -11,6 +14,8 @@ from circleact.multigraph import (
     parse_graph,
     serialize_graph,
 )
+from conftest import even_data, random_data
+from sweep_oracle import enumerate_admissible_by_matchings
 
 CP3_123 = gen_cp3(1, 2, 3)  # {+,1,3,6},{-,1,2,5},{+,2,3,3},{-,3,5,6}
 CP3_123_GRAPH = LabeledMultigraph(
@@ -122,6 +127,65 @@ class TestEnumerateAdmissible:
         # matching would join equal signs, so nothing is admissible
         d = data((1, 1, 1), (1, 1, 1))
         assert enumerate_admissible(d) == []
+
+
+def _occurrence_matchings(d):
+    """The number of matchings the oracle walks: the product of (m-1)!!
+    over the weight values' multiplicities m."""
+    total = 1
+    for m in Counter(w for p in d.points for w in p.weights).values():
+        total *= math.prod(range(m - 1, 0, -2))
+    return total
+
+
+def _graphs_or_error(enumerate, d, cap):
+    try:
+        return enumerate(d, cap=cap)
+    except NoMatchingError as exc:
+        return str(exc)
+
+
+class TestAgainstMatchingOracle:
+    """The direct enumeration against every occurrence matching, filtered
+    and deduplicated."""
+
+    def test_random_even_data(self, rng):
+        tested = 0
+        while tested < 600:
+            d = even_data(rng, max_points=8, max_weight=rng.choice((2, 3, 4, 6, 8)))
+            if _occurrence_matchings(d) > 3000:
+                continue
+            tested += 1
+            assert _graphs_or_error(enumerate_admissible, d, 5000) == (
+                _graphs_or_error(enumerate_admissible_by_matchings, d, 5000)
+            ), d
+
+    def test_random_data(self, rng):
+        for _ in range(300):
+            d = random_data(rng, max_points=8, max_weight=3)
+            assert _graphs_or_error(enumerate_admissible, d, 5000) == (
+                _graphs_or_error(enumerate_admissible_by_matchings, d, 5000)
+            ), d
+
+    def test_cap_agrees(self, rng):
+        """Exceeding the cap raises the same error, and a value with no
+        admissible pairing still gives no graphs however many the others
+        have."""
+        d = gen_s6_pair(1, 2, 3, 1, 2, 3)
+        count = len(enumerate_admissible(d))
+        for cap in (0, 1, count - 1, count, 10 ** 6):
+            assert _graphs_or_error(enumerate_admissible, d, cap) == (
+                _graphs_or_error(enumerate_admissible_by_matchings, d, cap)
+            )
+        blocked = disjoint_union(data((1, 5, 9), (-1, 5, 9)) , data((1, 1, 1), (1, 1, 1)))
+        assert enumerate_admissible(blocked, cap=0) == []
+        assert enumerate_admissible_by_matchings(blocked, cap=0) == []
+
+    def test_distinct_graphs(self):
+        graphs = enumerate_admissible(
+            disjoint_union(gen_cp3(1, 1, 1), gen_cp3(1, 1, 1))
+        )
+        assert len({g.edges for g in graphs}) == len(graphs)
 
 
 class TestMatchFigure1:

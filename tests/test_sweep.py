@@ -1,11 +1,33 @@
-from circleact.core import FixedPointData, data
+import hashlib
+import itertools
+
+import pytest
+
+from circleact.constraints import check_congruence_pairing, check_weight_parity
+from circleact.core import FixedPointData, data, parse
+from circleact.multigraph import enumerate_admissible
 from circleact.sweep import (
     classify_label,
     enumerate_candidates,
+    parity_mask,
+    point_kinds,
     survivors,
     sweep,
     to_csv,
 )
+from sweep_oracle import (
+    congruence_pairing_by_enumeration,
+    enumerate_admissible_by_matchings,
+    sweep_by_filtering,
+)
+
+# SHA-256 of the CSV of `circleact oracle --max-weight 4` (123,410 rows).
+W4_DIGEST = "be9869c2bb4d3a188176f581211463a1b8bb11137aea3ceb5075252d708d752d"
+
+
+@pytest.fixture(scope="module")
+def w4_rows():
+    return sweep(points=4, arity=3, max_weight=4)
 
 
 class TestEnumerateCandidates:
@@ -43,6 +65,55 @@ class TestSweep:
         lines = out.strip().splitlines()
         assert lines[0] == "data,checks_passed,failed_checks,figure1_tags,classification"
         assert len(lines) == len(rows) + 1
+
+
+class TestAgainstFilteringOracle:
+    """The sweep that folds weight parity into the walk against the one that
+    builds and checks every candidate."""
+
+    @pytest.mark.parametrize("points", range(5))
+    def test_csv_grid(self, points):
+        for arity, max_weight in itertools.product((1, 2, 3), (1, 2, 3)):
+            assert to_csv(sweep(points, arity, max_weight)) == to_csv(
+                sweep_by_filtering(points, arity, max_weight)
+            ), (points, arity, max_weight)
+
+    def test_w4_digest(self, w4_rows):
+        assert len(w4_rows) == 123410
+        assert hashlib.sha256(to_csv(w4_rows).encode()).hexdigest() == W4_DIGEST
+
+    def test_mask_is_weight_parity(self):
+        kinds = point_kinds(3, 4)
+        masks = [parity_mask(p) for p in kinds]
+        failing = 0
+        for combo in itertools.combinations_with_replacement(range(len(kinds)), 4):
+            mask = masks[combo[0]] ^ masks[combo[1]] ^ masks[combo[2]] ^ masks[combo[3]]
+            d = FixedPointData(tuple(kinds[i] for i in combo))
+            assert bool(mask) == check_weight_parity(d).failed, d
+            failing += bool(mask)
+        assert failing == 123410 - 16786
+
+    def test_kinds_sorted(self):
+        kinds = point_kinds(3, 4)
+        assert len(kinds) == 2 * 20
+        assert kinds == sorted(kinds, key=lambda p: (p.sign, p.weights))
+
+    def test_w4_survivors_graphs_and_pairings(self, w4_rows):
+        surv = survivors(w4_rows)
+        assert len(surv) == 212
+        for row in surv:
+            d = parse(
+                "".join(
+                    point.strip("{}").replace(",", " ") + "\n"
+                    for point in row.serialized.split("; ")
+                )
+            )
+            assert enumerate_admissible(d) == enumerate_admissible_by_matchings(d)
+            for w in sorted({x for p in d.points for x in p.weights}):
+                new, old = check_congruence_pairing(d, w), congruence_pairing_by_enumeration(d, w)
+                assert (new.status, new.witness, new.detail) == (
+                    old.status, old.witness, old.detail
+                )
 
 
 class TestClassifyLabel:
