@@ -205,6 +205,12 @@ def check_congruence_pairing(d: FixedPointData, w: int) -> CheckReport:
     Applicable only when no proper multiple of w occurs as a weight and no
     point carries w with multiplicity above 1; otherwise the hypothesis
     about the w-isotropy submanifold is ambiguous at data level.
+
+    The search pairs the first unpaired carrier with each later one in turn
+    and recurses, skipping pairs without a witness; each pair's witness is
+    computed at most once.  Pairings are tried in the order that lists all
+    perfect pairings lexicographically, so the pairing reported is the
+    first one in that order whose pairs all have witnesses.
     """
     if w < 1:
         raise ValueError("w must be positive")

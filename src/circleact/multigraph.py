@@ -10,11 +10,9 @@ For 4 vertices in dimension 6 the possible shapes reduce to five templates
 Graphs are built directly.  For each weight value, the smallest vertex that
 still carries the value splits its remaining count over the higher vertices
 (only the opposite-sign ones for the two small labels) in every possible
-way, and the rest recurses.  This lists each distinct loop-free pair
-multiset once, where walking the occurrences visits all (m-1)!! matchings of
-m occurrences and then deduplicates.  A graph is one choice per value, so no
-graph is built twice; ``cap`` bounds both the per-value lists and the graph
-count.
+way, and the rest recurses, so each distinct loop-free pair multiset is
+listed once.  A graph is one choice per value, so no graph is built twice;
+``cap`` bounds both the per-value lists and the graph count.
 """
 
 from __future__ import annotations
@@ -175,8 +173,8 @@ def enumerate_admissible(
     smallest positive-class values, in lexicographic edge order.
 
     Each value's distinct pair multisets are listed directly, so every
-    combination of them is a distinct graph and nothing is deduplicated;
-    more than ``cap`` graphs raise NoMatchingError."""
+    combination of them is a distinct graph; more than ``cap`` graphs raise
+    NoMatchingError."""
     parity = check_weight_parity(d)
     if parity.failed:
         raise NoMatchingError(parity.witness)

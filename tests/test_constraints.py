@@ -218,10 +218,12 @@ class TestCongruenceAgainstEnumeration:
         r = check_congruence_pairing(data(*[(1, 7, 1, 1)] * k), 7)
         assert r.status == FAIL
         assert len(calls) <= k * (k - 1) // 2
+        # 9 positive and 7 negative carriers: every opposite-sign pair has a
+        # witness, so the search revisits pairs in many partial pairings
         calls.clear()
-        balanced = data(*[(1, 7, 1, 1), (-1, 7, 1, 1), (1, 7, 2, 3), (-1, 7, 2, 3)] * 4)
-        r = check_congruence_pairing(balanced, 7)
-        assert r.status == PASS and len(calls) <= k * (k - 1) // 2
+        r = check_congruence_pairing(data(*[(1, 7, 1, 1)] * 9, *[(-1, 7, 1, 1)] * 7), 7)
+        assert r.status == FAIL
+        assert len(calls) <= k * (k - 1) // 2
 
 
 class TestRunAll:

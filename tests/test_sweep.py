@@ -93,11 +93,6 @@ class TestAgainstFilteringOracle:
             failing += bool(mask)
         assert failing == 123410 - 16786
 
-    def test_kinds_sorted(self):
-        kinds = point_kinds(3, 4)
-        assert len(kinds) == 2 * 20
-        assert kinds == sorted(kinds, key=lambda p: (p.sign, p.weights))
-
     def test_w4_survivors_graphs_and_pairings(self, w4_rows):
         surv = survivors(w4_rows)
         assert len(surv) == 212
