@@ -9,6 +9,7 @@ to come from an actual manifold.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -49,13 +50,11 @@ def abbv_integral_one(d: FixedPointData) -> Fraction:
     """
     if not d.points:
         raise ValueError("needs non-empty data")
-    total = Fraction(0)
-    for p in d.points:
-        prod = 1
-        for w in p.weights:
-            prod *= w
-        total += Fraction(p.sign, prod)
-    return total
+    prods = [math.prod(p.weights) for p in d.points]
+    common = math.lcm(*prods)
+    return Fraction(
+        sum(p.sign * (common // prod) for p, prod in zip(d.points, prods)), common
+    )
 
 
 def check_abbv(d: FixedPointData) -> CheckReport:
@@ -211,6 +210,12 @@ def check_congruence_pairing(d: FixedPointData, w: int) -> CheckReport:
     computed at most once.  Pairings are tried in the order that lists all
     perfect pairings lexicographically, so the pairing reported is the
     first one in that order whose pairs all have witnesses.
+
+    Whether the remaining carriers can be paired depends only on the
+    multiset of their (sign, weights), so a sub-search that fails is
+    recorded under that multiset and never repeated.  Only failing
+    subtrees are cut, so the pairing found is unchanged, and the search
+    visits at most one failing sub-search per sub-multiset of the carriers.
     """
     if w < 1:
         raise ValueError("w must be positive")
@@ -242,11 +247,18 @@ def check_congruence_pairing(d: FixedPointData, w: int) -> CheckReport:
             witnesses[(i, j)] = _pair_witness(d.points[i], d.points[j], w)
         return witnesses[(i, j)]
 
+    dead: set[tuple] = set()
+
+    def kinds(rest: list[int]) -> tuple:
+        return tuple(sorted((d.points[i].sign, d.points[i].weights) for i in rest))
+
     def first_pairing(rest: list[int]) -> Optional[list[dict]]:
         """The first pairing of rest, in the order that pairs rest[0] with
         each later point in turn, whose pairs all have witnesses."""
         if not rest:
             return []
+        if dead and kinds(rest) in dead:
+            return None
         first = rest[0]
         for k in range(1, len(rest)):
             found = witness(first, rest[k])
@@ -255,6 +267,7 @@ def check_congruence_pairing(d: FixedPointData, w: int) -> CheckReport:
             tail = first_pairing(rest[1:k] + rest[k + 1 :])
             if tail is not None:
                 return [{"pair": (first, rest[k]), **found}] + tail
+        dead.add(kinds(rest))
         return None
 
     assignments = first_pairing(carriers)

@@ -81,6 +81,20 @@ class LabeledMultigraph:
         return sorted(label for x, y, label in self.edges if (x, y) == (a, b))
 
 
+def _built_graph(
+    vertices: tuple[tuple[int, int], ...], edges: tuple[Edge, ...]
+) -> LabeledMultigraph:
+    """A graph from parts already known to be valid and sorted, made without
+    the constructor's edge-by-edge checks.  Only ``enumerate_admissible``
+    calls it: there ``u < v`` comes from ``_loop_free_pairings``, the labels
+    are the data's weights, which ``FixedPointDatum`` checks are positive,
+    and the ids are the point indices 0..n-1."""
+    g = object.__new__(LabeledMultigraph)
+    object.__setattr__(g, "vertices", vertices)
+    object.__setattr__(g, "edges", edges)
+    return g
+
+
 def describes(g: LabeledMultigraph, d: FixedPointData) -> bool:
     """True iff per-vertex edge labels and signs reproduce the data."""
     ids = sorted(v for v, _ in g.vertices)
@@ -202,7 +216,7 @@ def enumerate_admissible(
 
     graphs = []
     for combo in itertools.product(*edge_options):
-        graphs.append(LabeledMultigraph(vertices, sum(combo, ())))
+        graphs.append(_built_graph(vertices, tuple(sorted(sum(combo, ())))))
         if len(graphs) > cap:
             raise NoMatchingError(f"admissible graph cap {cap} exceeded")
     graphs.sort(key=lambda g: g.edges)

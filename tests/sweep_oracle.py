@@ -1,13 +1,15 @@
 """The former generate-and-filter routes, for tests only.
 
-``circleact.sweep`` folds weight parity into the walk over point kinds,
+``circleact.sweep`` folds weight parity into the walk over point kinds
+(and leaves it out of the checks it runs afterwards),
 ``circleact.multigraph`` lists each weight value's distinct loop-free pair
 multisets directly, and ``circleact.constraints`` backtracks over the
-congruence pairings with each pair's witness computed once.  This module
-keeps the implementations they replaced: the sweep that builds and checks
-every candidate, the graph enumeration over all (m-1)!! occurrence
-matchings followed by deduplication, and the pairing check that walks every
-perfect pairing and recomputes each pair's witness.  Tests require both
+congruence pairings with each pair's witness computed once and each
+failing sub-multiset of carriers searched once.  This module keeps the
+implementations they replaced: the sweep that builds and checks every
+candidate with the whole suite, the graph enumeration over all (m-1)!!
+occurrence matchings followed by deduplication, and the pairing check that
+walks every perfect pairing and recomputes each pair's witness.  Tests require both
 routes to give the same rows, graphs and reports.
 """
 
@@ -25,19 +27,39 @@ from circleact.multigraph import (
     match_figure1,
     small_label_values,
 )
-from circleact.sweep import (
-    SweepRow,
-    _cheap_then_full_checks,
-    classify_label,
-    enumerate_candidates,
-)
+from circleact.sweep import SweepRow, classify_label, enumerate_candidates
+
+
+def checks_in_full(d: FixedPointData) -> tuple[bool, tuple[str, ...]]:
+    """The whole suite in increasing cost order, weight parity first, with
+    early exit on failure."""
+    cheap = [
+        constraints.check_weight_parity,
+        constraints.check_parity_dimension,
+        constraints.check_uniform_weight_balance,
+        constraints.check_smallest_weights,
+        constraints.check_abbv,
+    ]
+    for check in cheap:
+        r = check(d)
+        if r.failed:
+            return False, (r.name,)
+    r = constraints.check_signature_constant(d)
+    if r.failed:
+        return False, (r.name,)
+    failed = []
+    for w in sorted({x for p in d.points for x in p.weights}):
+        r = constraints.check_congruence_pairing(d, w)
+        if r.failed:
+            failed.append(r.name)
+    return not failed, tuple(failed)
 
 
 def sweep_by_filtering(points: int, arity: int, max_weight: int) -> list[SweepRow]:
     """Every candidate built as data and run through the whole suite."""
     rows = []
     for d in enumerate_candidates(points, arity, max_weight):
-        ok, failed = _cheap_then_full_checks(d)
+        ok, failed = checks_in_full(d)
         tags: tuple[str, ...] = ()
         classification = ""
         if ok:

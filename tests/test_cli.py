@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circleact import cli, core
 from circleact.cli import main
+from circleact.core import FixedPointData, data, disjoint_union
+from circleact.generators import gen_blowup, gen_cp2, gen_cp3, gen_s6, gen_s6_pair
+from circleact.multigraph import NoMatchingError, enumerate_admissible
+from cli_oracle import cmd_graphs_by_dumps
+from conftest import even_data, random_data
 
 PETRIE_TEXT = "+ 7 2 3\n- 7 2 3\n+ 5 2 3\n- 5 2 3\n"
 NEG1_TEXT = "+ 1 2 4\n+ 1 2 3\n- 2 3 4\n- 1 1 2\n"
@@ -72,6 +78,11 @@ class TestCheck:
     def test_missing_file_exit_2(self, capsys):
         code, _, _ = run(capsys, "check", "/nonexistent/input.txt")
         assert code == 2
+
+    def test_directory_input_exit_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, "check", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: [Errno 21] Is a directory")
 
     @pytest.mark.parametrize(
         "text",
@@ -168,6 +179,84 @@ class TestGraphs:
         code, _, err = run(capsys, "graphs", str(p))
         assert code == 1 and "parity" in err
 
+    def test_emit_to_directory_exit_2(self, capsys, petrie_file, tmp_path):
+        """The graphs are printed, then the unwritable --emit path is an
+        error, not a traceback."""
+        code, out, err = run(capsys, "graphs", "--emit", str(tmp_path), petrie_file)
+        assert code == 2 and out.startswith("# graph 0 figure1=")
+        assert err.startswith("error: [Errno 21] Is a directory")
+
+
+def _graphs_run(command, text, flags, emit_path):
+    """(exit code, stdout, stderr, --emit file or None) of one graphs call
+    with command as its handler."""
+    if emit_path is not None and emit_path.exists():
+        emit_path.unlink()
+    argv = flags + ["graphs", "-"] + (["--emit", str(emit_path)] if emit_path else [])
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(cli, "cmd_graphs", command), mock.patch(
+        "sys.stdin", io.StringIO(text)
+    ), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    emitted = emit_path.read_text() if emit_path and emit_path.exists() else None
+    return code, out.getvalue(), err.getvalue(), emitted
+
+
+def _graph_inputs(rng):
+    """Inputs with a few hundred graphs at most: random 2-10-point data
+    (some failing weight parity), generator unions, four-point data whose
+    graphs carry Figure-1 tags, data without an admissible graph, and the
+    empty input."""
+    inputs = [
+        FixedPointData(()),
+        data((1, 1, 1), (1, 1, 1)),
+        disjoint_union(data((1, 5, 9), (-1, 5, 9)), data((1, 1, 1), (1, 1, 1))),
+        gen_cp3(1, 2, 3),
+        gen_cp3(1, 1, 1),
+        gen_blowup(2, 1, 2),
+        gen_s6_pair(1, 2, 3, 1, 2, 3),
+        gen_cp2(2, 3),
+        disjoint_union(gen_cp3(1, 1, 2), gen_s6(1, 2, 3)),
+        disjoint_union(gen_s6_pair(1, 1, 2, 2, 3, 3), gen_s6(1, 1, 1)),
+        disjoint_union(disjoint_union(gen_s6(1, 2, 2), gen_s6(2, 1, 2)), gen_cp3(1, 2, 1)),
+    ]
+    while len(inputs) < 60:
+        max_weight = rng.choice((3, 5, 8))
+        if rng.random() < 0.8:
+            d = even_data(rng, min_points=2, max_points=10, max_weight=max_weight)
+        else:
+            d = random_data(rng, max_points=10, max_weight=max_weight)
+        try:
+            enumerate_admissible(d, cap=300)
+        except NoMatchingError as exc:
+            if "cap" in str(exc):
+                continue
+        inputs.append(d)
+    return inputs
+
+
+class TestGraphsAgainstOracle:
+    """graphs output, byte for byte, against the per-graph json.dumps and
+    serialize_graph emitter."""
+
+    def test_byte_identical(self, rng, tmp_path):
+        emit_path = tmp_path / "graphs.txt"
+        modes = (
+            ([], emit_path),
+            (["--json"], emit_path),
+            (["--quiet"], emit_path),
+            (["--json", "--quiet"], None),
+            ([], None),
+        )
+        for i, d in enumerate(_graph_inputs(rng)):
+            text = core.to_json(d) if i % 4 == 3 else core.serialize(d)
+            for flags, path in modes:
+                got = _graphs_run(cli.cmd_graphs, text, flags, path)
+                assert got == _graphs_run(cmd_graphs_by_dumps, text, flags, path), (
+                    d, flags, path
+                )
+                assert got[0] in (0, 1)
+
 
 class TestReduce:
     def test_petrie(self, capsys, petrie_file, tmp_path):
@@ -180,6 +269,12 @@ class TestReduce:
         lines = trace_path.read_text().strip().splitlines()
         assert len(lines) == 2
         assert all(json.loads(line)["op"] == 1 for line in lines)
+
+    def test_emit_trace_to_directory_exit_2(self, capsys, petrie_file, tmp_path):
+        code, _, err = run(
+            capsys, "reduce", petrie_file, "--emit-trace", str(tmp_path)
+        )
+        assert code == 2 and err.startswith("error: [Errno 21] Is a directory")
 
     def test_depth_exhausted_exit_1(self, capsys, tmp_path):
         p = tmp_path / "stuck.txt"

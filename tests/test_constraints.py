@@ -1,7 +1,18 @@
 import itertools
+import math
+import sys
 from fractions import Fraction
 
-from circleact.core import FixedPointData, data, disjoint_union, reverse_orientation
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from circleact.core import (
+    FixedPointData,
+    FixedPointDatum,
+    data,
+    disjoint_union,
+    reverse_orientation,
+)
 from circleact.constraints import (
     FAIL,
     INAPPLICABLE,
@@ -56,6 +67,15 @@ class TestAbbv:
         for _ in range(100):
             x = random_data(rng)
             assert abbv_integral_one(reverse_orientation(x)) == -abbv_integral_one(x)
+
+    def test_against_fraction_sum(self, rng):
+        for _ in range(300):
+            x = random_data(rng, max_points=8, max_weight=rng.choice((6, 30, 1000)))
+            expected = sum(
+                (Fraction(p.sign, math.prod(p.weights)) for p in x.points), Fraction(0)
+            )
+            value = abbv_integral_one(x)
+            assert type(value) is Fraction and value == expected
 
 
 class TestWeightParity:
@@ -225,6 +245,52 @@ class TestCongruenceAgainstEnumeration:
         assert r.status == FAIL
         assert len(calls) <= k * (k - 1) // 2
 
+    def test_failed_sub_searches_not_repeated(self):
+        """With 11 positive and 9 negative carriers of {1,1,7}, every
+        opposite-sign pair has a witness but no pairing exists; the
+        remaining carriers always form one of at most 12 * 10 sub-multisets,
+        each searched to failure once.  Without that memo the search makes
+        about a million calls."""
+        for plus, minus in ((11, 9), (15, 13)):
+            d = data(*[(1, 7, 1, 1)] * plus, *[(-1, 7, 1, 1)] * minus)
+            calls = _count_calls(
+                "first_pairing", lambda: check_congruence_pairing(d, 7)
+            )
+            assert check_congruence_pairing(d, 7).status == FAIL
+            assert calls <= (plus + 1) * (minus + 1)
+
+    def test_many_carriers_of_few_kinds(self, rng):
+        # 10 carriers drawn from 4 kinds, two weight triples with both signs,
+        # so that failed sub-multisets recur; mod 5 the residues r and 5 - r
+        # let some same-sign pairs have witnesses
+        for _ in range(60):
+            kinds = [
+                (sign, 5, rng.randint(1, 4), rng.randint(1, 4))
+                for _ in range(2)
+                for sign in (-1, 1)
+            ]
+            d = data(*(rng.choice(kinds) for _ in range(10)))
+            assert _report(check_congruence_pairing(d, 5)) == _report(
+                congruence_pairing_by_enumeration(d, 5)
+            ), d
+
+
+def _count_calls(name: str, fn) -> int:
+    """How many Python calls of functions named name running fn makes."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_name == name:
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
+
 
 class TestRunAll:
     def test_cp3_all_pass(self):
@@ -258,3 +324,36 @@ class TestRunAll:
 
     def test_check_abbv_empty(self):
         assert check_abbv(FixedPointData(())).status == INAPPLICABLE
+
+
+@st.composite
+def small_data(draw):
+    """At most 5 points of one arity <= 3 with weights <= 6."""
+    arity = draw(st.integers(1, 3))
+    return FixedPointData(
+        tuple(
+            FixedPointDatum(
+                draw(st.sampled_from((-1, 1))),
+                tuple(draw(st.integers(1, 6)) for _ in range(arity)),
+            )
+            for _ in range(draw(st.integers(0, 5)))
+        )
+    )
+
+
+def _verdicts(d):
+    return [(r.name, r.status) for r in run_all(d)]
+
+
+class TestRunAllInvariance:
+    @settings(max_examples=150, deadline=None)
+    @given(small_data(), st.randoms(use_true_random=False))
+    def test_point_order(self, d, rnd):
+        points = list(d.points)
+        rnd.shuffle(points)
+        assert _verdicts(FixedPointData(tuple(points))) == _verdicts(d)
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_data())
+    def test_orientation_reversal(self, d):
+        assert _verdicts(reverse_orientation(d)) == _verdicts(d)

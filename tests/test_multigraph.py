@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from circleact.core import FixedPointData, data, disjoint_union
-from circleact.generators import gen_cp3, gen_s6_pair
+from circleact.generators import gen_blowup, gen_cp3, gen_s6, gen_s6_pair
 from circleact.multigraph import (
     LabeledMultigraph,
     NoMatchingError,
@@ -65,6 +65,16 @@ class TestGraphInvariants:
     def test_bad_label(self):
         with pytest.raises(ValueError):
             LabeledMultigraph(((0, 1), (1, -1)), ((0, 1, 0),))
+        with pytest.raises(ValueError, match="positive"):
+            LabeledMultigraph(((0, 1), (1, -1)), ((0, 1, -2),))
+
+    def test_unordered_edge(self):
+        with pytest.raises(ValueError, match="ordered"):
+            LabeledMultigraph(((0, 1), (1, -1)), ((1, 0, 1),))
+
+    def test_unknown_vertex(self):
+        with pytest.raises(ValueError, match="unknown vertex"):
+            LabeledMultigraph(((0, 1), (1, -1)), ((0, 2, 1),))
 
     def test_round_trip(self):
         g = CP3_123_GRAPH
@@ -145,6 +155,15 @@ def _graphs_or_error(enumerate, d, cap):
         return str(exc)
 
 
+def _assert_valid(graphs):
+    """Each graph, built without the constructor's checks, equals the one
+    the validating constructor builds from its parts."""
+    for g in graphs:
+        assert type(g) is LabeledMultigraph
+        rebuilt = LabeledMultigraph(g.vertices, g.edges)
+        assert g == rebuilt and g.edges == rebuilt.edges and hash(g) == hash(rebuilt)
+
+
 class TestAgainstMatchingOracle:
     """The direct enumeration against every occurrence matching, filtered
     and deduplicated."""
@@ -156,9 +175,10 @@ class TestAgainstMatchingOracle:
             if _occurrence_matchings(d) > 3000:
                 continue
             tested += 1
-            assert _graphs_or_error(enumerate_admissible, d, 5000) == (
-                _graphs_or_error(enumerate_admissible_by_matchings, d, 5000)
-            ), d
+            graphs = _graphs_or_error(enumerate_admissible, d, 5000)
+            assert graphs == _graphs_or_error(enumerate_admissible_by_matchings, d, 5000), d
+            if isinstance(graphs, list):
+                _assert_valid(graphs)
 
     def test_random_data(self, rng):
         for _ in range(300):
@@ -186,6 +206,19 @@ class TestAgainstMatchingOracle:
             disjoint_union(gen_cp3(1, 1, 1), gen_cp3(1, 1, 1))
         )
         assert len({g.edges for g in graphs}) == len(graphs)
+        _assert_valid(graphs)
+
+    def test_generator_unions(self):
+        """Unions of generator data, as the graphs command sees them."""
+        for d in (
+            disjoint_union(gen_cp3(1, 2, 3), gen_s6_pair(1, 1, 2, 2, 3, 3)),
+            disjoint_union(gen_cp3(1, 1, 2), gen_cp3(2, 1, 1)),
+            disjoint_union(gen_blowup(1, 2, 3), gen_s6(2, 3, 5)),
+            disjoint_union(gen_cp3(1, 2, 3), gen_s6_pair(1, 2, 4, 3, 5, 6)),
+        ):
+            graphs = enumerate_admissible(d)
+            assert graphs and graphs == enumerate_admissible_by_matchings(d)
+            _assert_valid(graphs)
 
 
 class TestMatchFigure1:
