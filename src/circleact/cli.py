@@ -14,7 +14,7 @@ import sys
 from . import constraints, core, rewrite, sweep
 from .classify import classify, figure1_taggable
 from .generators import GENERATORS
-from .multigraph import NoMatchingError, enumerate_admissible, match_figure1
+from .multigraph import NoMatchingError, enumerate_admissible, match_figure1, serialize_graph
 from .rewrite import ReductionFailure, collection_from_data, reduce_to_empty
 from .series import signature_series
 
@@ -65,18 +65,6 @@ def cmd_classify(args) -> int:
     return PASS_EXIT if verdict.classified else FAIL_EXIT
 
 
-class _Rendered(dict):
-    """A per-call memo that formats each distinct key once with fmt."""
-
-    def __init__(self, fmt: str):
-        super().__init__()
-        self.fmt = fmt
-
-    def __missing__(self, key):
-        text = self[key] = self.fmt % key
-        return text
-
-
 def cmd_graphs(args) -> int:
     d = _read_input(args.input)
     try:
@@ -85,27 +73,26 @@ def cmd_graphs(args) -> int:
         print(f"weight parity fails: {exc}", file=sys.stderr)
         return FAIL_EXIT
     taggable = figure1_taggable(d)
-    # Every graph has the data's vertices and shares its edges with others,
-    # so the vertex part and each distinct edge are rendered once per call,
-    # and each graph's output is assembled from them.  The result is what
-    # json.dumps and serialize_graph print.
-    vertices = tuple((i, p.sign) for i, p in enumerate(d.points))
-    vertex_lines = [f"vertex {v} {'+' if s == 1 else '-'}" for v, s in vertices]
-    edge_lines = _Rendered("%d %d %d")
-
-    def text(g) -> str:
-        return "\n".join(vertex_lines + [edge_lines[e] for e in g.edges])
-
-    if args.json:
-        vertex_items = json.dumps([list(v) for v in vertices])
-        edge_items = _Rendered("[%d, %d, %d]")
+    if args.json and graphs:
+        # enumerate_admissible gives every graph the same vertices, and the
+        # graphs share most of their edges, so the vertex list and each
+        # distinct edge are rendered once per call and each line is
+        # assembled from them; the result is what json.dumps prints for the
+        # graph's dict.
+        vertex_items = json.dumps([list(v) for v in graphs[0].vertices])
+        edge_items: dict = {}
     for i, g in enumerate(graphs):
         tag = None
         if taggable:
             case = match_figure1(g)
             tag = case.tag if case else None
         if args.json:
-            edges = ", ".join([edge_items[e] for e in g.edges])
+            edges = ", ".join(
+                [
+                    edge_items.get(e) or edge_items.setdefault(e, "[%d, %d, %d]" % e)
+                    for e in g.edges
+                ]
+            )
             figure1 = "null" if tag is None else f'"{tag}"'
             _emit(
                 f'{{"graph": {i}, "vertices": {vertex_items}, '
@@ -113,12 +100,13 @@ def cmd_graphs(args) -> int:
                 args,
             )
         else:
-            _emit(f"# graph {i} figure1={tag or 'none'}\n{text(g)}", args)
+            _emit(f"# graph {i} figure1={tag or 'none'}", args)
+            _emit(serialize_graph(g).rstrip("\n"), args)
     if args.emit:
         with open(args.emit, "w") as fh:
             for g in graphs:
-                fh.write(text(g))
-                fh.write("\n\n")
+                fh.write(serialize_graph(g))
+                fh.write("\n")
     return PASS_EXIT
 
 

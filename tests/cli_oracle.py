@@ -1,11 +1,10 @@
 """The former ``graphs`` emitter, for tests only.
 
-``circleact.cli.cmd_graphs`` renders the vertex part and each distinct edge
-once per call and assembles every output line from those pieces.  This
-module keeps the emitter it replaced, which builds a dict per graph for
-``json.dumps`` and calls ``serialize_graph`` per graph.  Tests require both
-to write the same bytes to stdout, stderr and the ``--emit`` file, with the
-same exit code.
+In JSON mode ``circleact.cli.cmd_graphs`` renders the vertex list once per
+call and assembles every graph's line around it.  This module keeps the
+emitter it replaced, which builds a dict per graph for ``json.dumps``.
+Tests require both to write the same bytes to stdout, stderr and the
+``--emit`` file, with the same exit code, in JSON and text mode.
 """
 
 from __future__ import annotations
