@@ -111,6 +111,9 @@ def cmd_graphs(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    if args.max_depth < 0:
+        print(f"error: --max-depth must be at least 0, got {args.max_depth}", file=sys.stderr)
+        return ERROR_EXIT
     d = _read_input(args.input)
     if d.points and d.arity != 3:
         print(f"error: reduction needs arity-3 data, got {d.arity}", file=sys.stderr)

@@ -2,9 +2,13 @@
 
 Five operations remove and add arity-3 classes; a realizable collection can
 always be converted to the empty collection.  This module enumerates
-applicable operation instances, applies them with multiset semantics, and
-searches for a reduction: deterministic short scripts for the two known
-4-point shapes, bounded iterative-deepening search otherwise.
+applicable operation instances from one move table, checking that the
+removed classes are present on plain (sign, weights) tuples before building
+the added ones, applies them with multiset semantics, and searches for a
+reduction: deterministic short scripts for the two known 4-point shapes,
+bounded iterative deepening otherwise.  The search runs on sorted tuples of
+canonical (sign, weights) pairs, computes each state's successors once per
+call and builds ``RewriteMove`` objects only for the path it returns.
 """
 
 from __future__ import annotations
@@ -78,61 +82,77 @@ def _move(op, s, params, removed, added) -> RewriteMove:
     )
 
 
-def _instantiate(op: int, s: int, params: tuple[int, ...]) -> Optional[RewriteMove]:
-    """Build the move for one operation instance, or None if a side
-    condition fails or a zero weight would be produced."""
+def _canon(sign: int, weights) -> tuple[int, tuple[int, ...]]:
+    """``canonicalize`` on a plain ``(sign, weights)`` pair."""
+    for w in weights:
+        if w < 0:
+            sign = -sign
+    return sign, tuple(sorted(map(abs, weights)))
+
+
+def _pattern(op: int, s: int, params: tuple[int, ...]):
+    """The removed and added (sign, weights) pairs of one operation
+    instance, not yet canonical, or None if a side condition fails."""
     if op == 1:
         A, B, C = params
-        removed = [_cls(1, (A, B, C)), _cls(-1, (A, B, C))]
-        return _move(1, 1, params, removed, [])
+        return [(1, (A, B, C)), (-1, (A, B, C))], []
     if op == 2:
         A, B, C = params
         if not (0 < A < B < C):
             return None
-        removed = [_cls(s, (A, B, C)), _cls(-s, (C - A, C - B, C))]
-        added = [_cls(s, (A, B - A, C - A)), _cls(-s, (B, B - A, C - B))]
-        return _move(2, s, params, removed, added)
+        removed = [(s, (A, B, C)), (-s, (C - A, C - B, C))]
+        return removed, [(s, (A, B - A, C - A)), (-s, (B, B - A, C - B))]
     if op == 3:
         A, B, C = params
         if not (0 < A < C and 0 < B < C and A != B):
             return None
-        removed = [_cls(s, (A, B, C)), _cls(s, (A, C - B, C))]
+        removed = [(s, (A, B, C)), (s, (A, C - B, C))]
         added = [
-            _cls(s, (C - B, C - A, A)),
-            _cls(s, (C - B, B, A)),
-            _cls(s, (C - B, A - B, A)),
-            _cls(-s, (C - A, A - B, A)),
+            (s, (C - B, C - A, A)),
+            (s, (C - B, B, A)),
+            (s, (C - B, A - B, A)),
+            (-s, (C - A, A - B, A)),
         ]
-        return _move(3, s, params, removed, added)
+        return removed, added
     if op == 4:
         A, C = params
         if not (0 < A < C) or C == 2 * A:
             return None
-        removed = [_cls(s, (A, A, C)), _cls(s, (A, C - A, C))]
+        removed = [(s, (A, A, C)), (s, (A, C - A, C))]
         added = [
-            _cls(s, (C - A, C - 2 * A, A)),
-            _cls(s, (C - A, A, A)),
-            _cls(s, (C - A, A, A)),
-            _cls(-s, (C - 2 * A, A, A)),
+            (s, (C - A, C - 2 * A, A)),
+            (s, (C - A, A, A)),
+            (s, (C - A, A, A)),
+            (-s, (C - 2 * A, A, A)),
         ]
-        return _move(4, s, params, removed, added)
+        return removed, added
     if op == 5:
         A, C = params
         if not (0 < A < C) or C == 2 * A:
             return None
-        removed = [_cls(s, (C, A, A)), _cls(-s, (C, C - A, C - A))]
+        removed = [(s, (C, A, A)), (-s, (C, C - A, C - A))]
         added = [
-            _cls(s, (C - A, C - 2 * A, A)),
-            _cls(s, (C - A, A, A)),
-            _cls(s, (C - A, A, A)),
-            _cls(-s, (C - 2 * A, A, A)),
-            _cls(s, (A, C - 2 * A, C - A)),
-            _cls(-s, (A, C - A, C - A)),
-            _cls(-s, (A, C - A, C - A)),
-            _cls(-s, (C - 2 * A, C - A, C - A)),
+            (s, (C - A, C - 2 * A, A)),
+            (s, (C - A, A, A)),
+            (s, (C - A, A, A)),
+            (-s, (C - 2 * A, A, A)),
+            (s, (A, C - 2 * A, C - A)),
+            (-s, (A, C - A, C - A)),
+            (-s, (A, C - A, C - A)),
+            (-s, (C - 2 * A, C - A, C - A)),
         ]
-        return _move(5, s, params, removed, added)
+        return removed, added
     raise ValueError(f"unknown operation {op}")
+
+
+def _instantiate(op: int, s: int, params: tuple[int, ...]) -> Optional[RewriteMove]:
+    """Build the move for one operation instance, or None if a side
+    condition fails."""
+    pattern = _pattern(op, s, params)
+    if pattern is None:
+        return None
+    removed, added = pattern
+    return _move(op, s, params, [_cls(*c) for c in removed], [_cls(*c) for c in added])
 
 
 def _present(coll: Collection, removed) -> bool:
@@ -140,50 +160,57 @@ def _present(coll: Collection, removed) -> bool:
     return all(coll[c] >= k for c, k in need.items())
 
 
+def _candidates(sign: int, w: tuple[int, int, int]):
+    """(op, orientation, params) of every instance whose first removed
+    pattern the class [sign, *w] can play."""
+    # op 1: the class as the positive half
+    if sign == 1:
+        yield 1, 1, w
+    # op 2: [s, A, B, C] with A < B < C
+    if w[0] < w[1] < w[2]:
+        yield 2, sign, w
+    # op 3: every role assignment of the weights
+    for perm in _distinct_permutations(w):
+        yield 3, sign, perm
+    # ops 4 and 5: [s, A, A, C] and [s, C, A, A]
+    pairs = _repeated_pairs(w)
+    for op in (4, 5):
+        for A, C in pairs:
+            yield op, sign, (A, C)
+
+
+def _move_keys(count: dict) -> list:
+    """``((op, orientation, params), removed, added)`` for every instance of
+    operations (1)-(5) whose removed classes are present in ``count``, a map
+    from canonical (sign, weights) pairs to multiplicities.  ``removed`` and
+    ``added`` are sorted canonical pairs; the list is sorted by key."""
+    out = []
+    for sign, w in count:
+        for key in _candidates(sign, w):
+            pattern = _pattern(*key)
+            if pattern is None:
+                continue
+            removed, added = pattern
+            first, second = sorted([_canon(*c) for c in removed])
+            if first == second:
+                if count.get(first, 0) < 2:
+                    continue
+            elif first not in count or second not in count:
+                continue
+            out.append((key, (first, second), sorted([_canon(*c) for c in added])))
+    out.sort(key=lambda m: m[0])
+    return out
+
+
 def applicable_moves(coll: Collection) -> list[RewriteMove]:
     """Every instantiation of operations (1)-(5) whose removed classes are
-    present, matched at the level of canonical representatives."""
+    present, matched at the level of canonical representatives, sorted by
+    (op, orientation, params)."""
     for c in coll:
         if c.arity != 3:
             raise ValueError("rewriting is defined for arity-3 classes")
-    moves = {}
-    classes = sorted(coll, key=lambda c: (c.sign, c.weights))
-
-    def consider(move: Optional[RewriteMove]):
-        if move is None:
-            return
-        if not _present(coll, move.removed):
-            return
-        moves[(move.op, move.orientation, move.params)] = move
-
-    for x in classes:
-        w = x.weights
-        # op 1: x as the positive half
-        if x.sign == 1:
-            consider(_instantiate(1, 1, w))
-        s = x.sign
-        # op 2: x = [s, A, B, C] with A < B < C
-        if w[0] < w[1] < w[2]:
-            consider(_instantiate(2, s, w))
-        # ops 3-5: x plays the first removed pattern; try every role
-        # assignment of its weights
-        seen_perm = set()
-        for perm in _distinct_permutations(w):
-            if perm in seen_perm:
-                continue
-            seen_perm.add(perm)
-            A, B, C = perm
-            consider(_instantiate(3, s, (A, B, C)))
-        # op 4 first pattern is [s, A, A, C]
-        for A, C in _repeated_pairs(w):
-            consider(_instantiate(4, s, (A, C)))
-        # op 5 first pattern is [s, C, A, A]
-        for A, C in _repeated_pairs(w):
-            consider(_instantiate(5, s, (A, C)))
-    ordered = sorted(
-        moves.values(), key=lambda m: (m.op, m.orientation, m.params)
-    )
-    return ordered
+    count = {(c.sign, c.weights): k for c, k in coll.items() if k > 0}
+    return [_instantiate(*key) for key, _, _ in _move_keys(count)]
 
 
 def _distinct_permutations(w: tuple[int, int, int]):
@@ -293,9 +320,12 @@ def reduce_to_empty(
 
     strategy "auto" tries the deterministic 4-point scripts first, then
     falls back to iterative-deepening search; "search" skips the scripts.
+    A negative max_depth raises ValueError.
     """
     if strategy not in ("auto", "search"):
         raise ValueError(f"unknown strategy {strategy!r}")
+    if max_depth < 0:
+        raise ValueError(f"max_depth must be at least 0, got {max_depth}")
     for c in coll:
         if c.arity != 3:
             raise ValueError("rewriting is defined for arity-3 classes")
@@ -313,30 +343,47 @@ def reduce_to_empty(
             return trace
 
     explored = 0
+    # per call: each state's ((op, orientation, params), child) list, built
+    # the first time the state is expanded and reused at every depth
+    successors: dict = {}
 
-    def dfs(state: Collection, depth: int, seen: dict) -> Optional[list[RewriteMove]]:
+    def expand(state: tuple) -> list:
+        count = Counter(state)
+        out = []
+        for key, removed, added in _move_keys(count):
+            rest = list(state)
+            for c in removed:
+                rest.remove(c)
+            out.append((key, tuple(sorted(rest + added))))
+        return out
+
+    def dfs(state: tuple, depth: int, seen: dict) -> Optional[list]:
         nonlocal explored
         explored += 1
         if not state:
             return []
         if depth == 0:
             return None
-        key = _sorted_classes(state)
         # transposition set: skip states already searched with at least as
         # much remaining depth
-        if seen.get(key, -1) >= depth:
+        if seen.get(state, -1) >= depth:
             return None
-        seen[key] = depth
-        for move in applicable_moves(state):
-            sub = dfs(apply_move(state, move), depth - 1, seen)
+        seen[state] = depth
+        moves = successors.get(state)
+        if moves is None:
+            moves = successors[state] = expand(state)
+        for key, child in moves:
+            sub = dfs(child, depth - 1, seen)
             if sub is not None:
-                return [move] + sub
+                return [key] + sub
         return None
 
+    start = tuple((c.sign, c.weights) for c in initial)
     for depth in range(1, max_depth + 1):
-        result = dfs(Counter(coll), depth, {})
+        result = dfs(start, depth, {})
         if result is not None:
-            trace = RewriteTrace(initial, tuple(result), ())
+            moves = tuple(_instantiate(*key) for key in result)
+            trace = RewriteTrace(initial, moves, ())
             trace.replay()
             return trace
     return ReductionFailure(

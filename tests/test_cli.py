@@ -289,6 +289,20 @@ class TestReduce:
         code, _, err = run(capsys, "reduce", str(p))
         assert code == 2 and "arity-3" in err
 
+    def test_negative_max_depth_exit_2(self, capsys):
+        with mock.patch("sys.stdin", io.StringIO(PETRIE_TEXT)):
+            code, out, err = run(capsys, "reduce", "--max-depth", "-1", "-")
+        assert code == 2 and out == ""
+        assert err == "error: --max-depth must be at least 0, got -1\n"
+
+    def test_zero_max_depth_exit_1(self, capsys):
+        with mock.patch("sys.stdin", io.StringIO("+ 1 2 3\n- 1 2 3\n")):
+            code, out, err = run(capsys, "reduce", "--max-depth", "0", "-")
+        assert code == 1 and err == ""
+        assert out == (
+            '{"reason": "no reduction within depth 0", "depth": 0, "states_explored": 0}\n'
+        )
+
 
 class TestGen:
     def test_cp3(self, capsys):

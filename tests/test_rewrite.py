@@ -1,11 +1,14 @@
 import itertools
 import json
+import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from circleact.core import SignedDatumClass, canonicalize
-from circleact.generators import gen_cp3, gen_s6_pair
+from circleact.core import FixedPointData, SignedDatumClass, canonicalize, disjoint_union
+from circleact.generators import gen_blowup, gen_cp3, gen_s6, gen_s6_pair
 from circleact.rewrite import (
     ReductionFailure,
     RewriteTrace,
@@ -16,6 +19,7 @@ from circleact.rewrite import (
     collection_from_data,
     reduce_to_empty,
 )
+from rewrite_oracle import applicable_moves_by_filtering, reduce_to_empty_by_regeneration
 
 
 def cls(sign, *weights):
@@ -145,7 +149,16 @@ class TestReduceToEmpty:
     def test_irreducible_reports_failure(self):
         res = reduce_to_empty(coll((1, 1, 1, 1)), max_depth=3)
         assert isinstance(res, ReductionFailure)
-        assert res.depth == 3 and res.states_explored > 0
+        # one state per depth: the lone class admits no move
+        assert res.depth == 3 and res.states_explored == 3
+
+    def test_negative_depth_rejected(self):
+        with pytest.raises(ValueError, match="max_depth must be at least 0, got -1"):
+            reduce_to_empty(coll((1, 1, 2, 3), (-1, 1, 2, 3)), max_depth=-1)
+
+    def test_zero_depth_fails_without_search(self):
+        res = reduce_to_empty(coll((1, 1, 2, 3), (-1, 1, 2, 3)), max_depth=0)
+        assert res == ReductionFailure("no reduction within depth 0", 0, 0)
 
     def test_noncanonical_rejected(self):
         c = Counter({SignedDatumClass(1, (-1, 2, 3)): 1})
@@ -179,3 +192,109 @@ class TestTrace:
         bad = RewriteTrace(trace.initial, trace.moves[:-1], trace.final)
         with pytest.raises(AssertionError):
             bad.replay()
+
+
+def outcome(result) -> object:
+    """What the CLI prints of a reduction: the failure record or every move."""
+    if isinstance(result, ReductionFailure):
+        return result.to_dict()
+    return [m.to_dict() for m in result.moves]
+
+
+def union_of(*parts):
+    out = parts[0]
+    for d in parts[1:]:
+        out = disjoint_union(out, d)
+    return out
+
+
+def random_collection(rng: random.Random, max_classes: int = 7, max_weight: int = 6):
+    return collection_from_classes(
+        cls(rng.choice((-1, 1)), *(rng.randint(1, max_weight) for _ in range(3)))
+        for _ in range(rng.randint(1, max_classes))
+    )
+
+
+class TestAgainstOracle:
+    """The tuple-based move table and search against the former route that
+    builds every candidate as a RewriteMove and regenerates moves at every
+    expansion (tests/rewrite_oracle.py)."""
+
+    def test_applicable_moves_random(self, rng):
+        for _ in range(3000):
+            c = random_collection(rng)
+            got = [m.to_dict() for m in applicable_moves(c)]
+            assert got == [m.to_dict() for m in applicable_moves_by_filtering(c)], c
+
+    def test_failing_searches_random(self, rng):
+        failures = 0
+        for _ in range(150):
+            c = random_collection(rng)
+            for depth in (3, 4):
+                got = reduce_to_empty(c, max_depth=depth)
+                assert outcome(got) == outcome(
+                    reduce_to_empty_by_regeneration(c, max_depth=depth)
+                ), c
+                failures += isinstance(got, ReductionFailure)
+        assert failures > 250
+
+    @pytest.mark.parametrize("gen", [gen_cp3, gen_blowup, gen_s6])
+    def test_generators_by_search(self, gen):
+        for a, b, c in itertools.product(range(1, 7), repeat=3):
+            if a + b + c > 8:
+                continue
+            coll_ = collection_from_data(gen(a, b, c))
+            got = reduce_to_empty(coll_, strategy="search")
+            assert isinstance(got, RewriteTrace)
+            assert outcome(got) == outcome(
+                reduce_to_empty_by_regeneration(coll_, strategy="search")
+            )
+
+    @pytest.mark.parametrize(
+        "parts",
+        [
+            # the 10-point scaling probe of the benchmark's unions workload
+            (gen_s6(2, 3, 5), gen_cp3(1, 2, 3), gen_blowup(2, 1, 3)),
+            (gen_s6(1, 2, 3), gen_cp3(1, 2, 3)),
+            (gen_s6(1, 1, 4), gen_blowup(1, 2, 3)),
+            (gen_s6(1, 2, 3), gen_s6(2, 2, 2), gen_s6(1, 3, 5)),
+            (gen_s6(1, 2, 3), gen_s6(1, 2, 4), gen_cp3(2, 2, 2)),
+            (gen_s6_pair(1, 2, 3, 2, 3, 4), gen_blowup(1, 1, 1), gen_s6(3, 4, 5)),
+            (gen_s6(1, 2, 3), gen_s6(2, 3, 4), gen_s6(1, 1, 2), gen_s6(4, 5, 6), gen_s6(1, 5, 6)),
+        ],
+    )
+    def test_generator_unions(self, parts):
+        coll_ = collection_from_data(union_of(*parts))
+        assert 6 <= sum(coll_.values()) <= 10
+        got = reduce_to_empty(coll_)
+        assert isinstance(got, RewriteTrace)
+        assert outcome(got) == outcome(reduce_to_empty_by_regeneration(coll_))
+
+
+@st.composite
+def generator_union(draw):
+    """At most one projective-space or blow-up datum and up to three sphere
+    rotations, all with parameters at most 3: 2-10 points."""
+    small = st.integers(1, 3)
+    parts = [
+        gen_s6(draw(small), draw(small), draw(small))
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    if not parts or draw(st.booleans()):
+        gen = draw(st.sampled_from([gen_cp3, gen_blowup]))
+        parts.append(gen(draw(small), draw(small), draw(small)))
+    return union_of(*parts)
+
+
+class TestPointOrder:
+    @settings(max_examples=200, deadline=None)
+    @given(generator_union(), st.randoms(use_true_random=False))
+    def test_trace_independent_of_point_order(self, d, order):
+        points = list(d.points)
+        order.shuffle(points)
+        first = reduce_to_empty(collection_from_data(d))
+        again = reduce_to_empty(collection_from_data(FixedPointData(tuple(points))))
+        assert isinstance(first, RewriteTrace)
+        assert outcome(again) == outcome(first)
+        assert again.initial == first.initial
+        assert first.replay()[-1] == Counter()
