@@ -156,10 +156,6 @@ class TestReduceToEmpty:
         with pytest.raises(ValueError, match="max_depth must be at least 0, got -1"):
             reduce_to_empty(coll((1, 1, 2, 3), (-1, 1, 2, 3)), max_depth=-1)
 
-    def test_zero_depth_fails_without_search(self):
-        res = reduce_to_empty(coll((1, 1, 2, 3), (-1, 1, 2, 3)), max_depth=0)
-        assert res == ReductionFailure("no reduction within depth 0", 0, 0)
-
     def test_noncanonical_rejected(self):
         c = Counter({SignedDatumClass(1, (-1, 2, 3)): 1})
         with pytest.raises(ValueError):
@@ -208,10 +204,11 @@ def union_of(*parts):
     return out
 
 
-def random_collection(rng: random.Random, max_classes: int = 7, max_weight: int = 6):
+def random_collection(rng: random.Random):
+    """1-7 random arity-3 classes with weights at most 6."""
     return collection_from_classes(
-        cls(rng.choice((-1, 1)), *(rng.randint(1, max_weight) for _ in range(3)))
-        for _ in range(rng.randint(1, max_classes))
+        cls(rng.choice((-1, 1)), *(rng.randint(1, 6) for _ in range(3)))
+        for _ in range(rng.randint(1, 7))
     )
 
 
