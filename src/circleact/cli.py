@@ -39,6 +39,9 @@ def cmd_check(args) -> int:
     d = _read_input(args.input)
     weights = set(args.pair_weights) if args.pair_weights else None
     reports = constraints.run_all(d, weights_to_pair=weights)
+    series = None
+    if args.order is not None and d.points:
+        series = [str(c) for c in signature_series(d, args.order).coeffs]
     if args.json:
         payload = [
             {"name": r.name, "status": r.status, "witness": r.witness}
@@ -48,12 +51,11 @@ def cmd_check(args) -> int:
     else:
         for r in reports:
             _emit(str(r), args)
-    if args.order is not None and d.points:
-        coeffs = [str(c) for c in signature_series(d, args.order).coeffs]
+    if series is not None:
         if args.json:
-            _emit(json.dumps({"signature_series": coeffs}), args)
+            _emit(json.dumps({"signature_series": series}), args)
         else:
-            _emit(f"signature series to order {args.order}: {' '.join(coeffs)}", args)
+            _emit(f"signature series to order {args.order}: {' '.join(series)}", args)
     ok = constraints.overall_verdict(reports)
     _emit(f"overall: {'PASS' if ok else 'FAIL'}", args)
     return PASS_EXIT if ok else FAIL_EXIT

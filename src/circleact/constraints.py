@@ -13,9 +13,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
-from .core import FixedPointData
+from .core import FixedPointData, FixedPointDatum
 from .series import signature_exact, signature_value
 
 PASS = "pass"
@@ -42,6 +42,14 @@ class CheckReport:
         return f"{self.name}: {self.status.upper()} ({self.witness})"
 
 
+def abbv_terms(points: Sequence[FixedPointDatum]) -> tuple[int, list[int]]:
+    """The lcm L of the points' weight products and each point's term
+    sign * L / product, so that the localization sum is sum(terms) / L."""
+    prods = [math.prod(p.weights) for p in points]
+    common = math.lcm(*prods)
+    return common, [p.sign * (common // prod) for p, prod in zip(points, prods)]
+
+
 def abbv_integral_one(d: FixedPointData) -> Fraction:
     """sum_p eps(p) / prod_i w_pi, exactly.
 
@@ -50,11 +58,8 @@ def abbv_integral_one(d: FixedPointData) -> Fraction:
     """
     if not d.points:
         raise ValueError("needs non-empty data")
-    prods = [math.prod(p.weights) for p in d.points]
-    common = math.lcm(*prods)
-    return Fraction(
-        sum(p.sign * (common // prod) for p, prod in zip(d.points, prods)), common
-    )
+    common, terms = abbv_terms(d.points)
+    return Fraction(sum(terms), common)
 
 
 def check_abbv(d: FixedPointData) -> CheckReport:
@@ -112,6 +117,28 @@ def signed_weight_lists(d: FixedPointData) -> tuple[list[int], list[int]]:
     return plus, minus
 
 
+def smallest_weights_clause(plus: list[int], minus: list[int]) -> Optional[str]:
+    """The first clause of the smallest-weights condition that the sorted
+    weight lists of the +1 and -1 points violate: "a1" (smallest weights
+    differ), "a2" (second-smallest differ) or "positions" (the positions
+    carrying a2 differ).  None when every clause holds or a list has fewer
+    than two weights.
+
+    In each sorted list the value a2 fills a run of positions that starts
+    at 0 if a1 = a2 and at 1 otherwise; once a1 and a2 agree, the runs
+    start at the same index, so the positions agree exactly when a2 occurs
+    equally often in both lists."""
+    if len(plus) < 2 or len(minus) < 2:
+        return None
+    if plus[0] != minus[0]:
+        return "a1"
+    if plus[1] != minus[1]:
+        return "a2"
+    if plus.count(plus[1]) != minus.count(plus[1]):
+        return "positions"
+    return None
+
+
 def check_smallest_weights(d: FixedPointData) -> CheckReport:
     """The two smallest weights of each sign class must agree, and the
     positions carrying the second-smallest value must match index-wise."""
@@ -122,14 +149,15 @@ def check_smallest_weights(d: FixedPointData) -> CheckReport:
             INAPPLICABLE,
             f"need >= 2 weights per sign class (have {len(plus)} and {len(minus)})",
         )
-    if plus[0] != minus[0]:
+    clause = smallest_weights_clause(plus, minus)
+    if clause == "a1":
         return CheckReport(
             "smallest_weights",
             FAIL,
             f"smallest weights differ: a1={plus[0]} vs b1={minus[0]}",
             {"a1": plus[0], "b1": minus[0]},
         )
-    if plus[1] != minus[1]:
+    if clause == "a2":
         return CheckReport(
             "smallest_weights",
             FAIL,
@@ -137,19 +165,26 @@ def check_smallest_weights(d: FixedPointData) -> CheckReport:
             {"a2": plus[1], "b2": minus[1]},
         )
     a2 = plus[1]
-    idx_plus = {i for i, w in enumerate(plus) if w == a2}
-    idx_minus = {i for i, w in enumerate(minus) if w == a2}
-    if idx_plus != idx_minus:
+    if clause == "positions":
+        idx_plus = [i for i, w in enumerate(plus) if w == a2]
+        idx_minus = [i for i, w in enumerate(minus) if w == a2]
         return CheckReport(
             "smallest_weights",
             FAIL,
             f"positions of value {a2} differ between sign classes: "
-            f"{sorted(idx_plus)} vs {sorted(idx_minus)}",
+            f"{idx_plus} vs {idx_minus}",
             {"a2": a2},
         )
     return CheckReport(
         "smallest_weights", PASS, f"a1=b1={plus[0]}, a2=b2={a2}, multiplicity clause holds"
     )
+
+
+def uniform_weight_balance_fails(plus: list[int], minus: list[int]) -> bool:
+    """Every weight has one value, yet the weight lists of the +1 and -1
+    points differ in length, that is (all points having one arity) the two
+    signs count different numbers of points."""
+    return len({*plus, *minus}) == 1 and len(plus) != len(minus)
 
 
 def check_uniform_weight_balance(d: FixedPointData) -> CheckReport:
@@ -163,7 +198,7 @@ def check_uniform_weight_balance(d: FixedPointData) -> CheckReport:
         )
     plus = sum(1 for p in d.points if p.sign == 1)
     minus = len(d.points) - plus
-    if plus == minus:
+    if not uniform_weight_balance_fails(*signed_weight_lists(d)):
         return CheckReport(
             "uniform_weight_balance", PASS, f"{plus} points of each sign"
         )
@@ -205,17 +240,18 @@ def check_congruence_pairing(d: FixedPointData, w: int) -> CheckReport:
     point carries w with multiplicity above 1; otherwise the hypothesis
     about the w-isotropy submanifold is ambiguous at data level.
 
-    The search pairs the first unpaired carrier with each later one in turn
-    and recurses, skipping pairs without a witness; each pair's witness is
-    computed at most once.  Pairings are tried in the order that lists all
-    perfect pairings lexicographically, so the pairing reported is the
-    first one in that order whose pairs all have witnesses.
-
-    Whether the remaining carriers can be paired depends only on the
-    multiset of their (sign, weights), so a sub-search that fails is
-    recorded under that multiset and never repeated.  Only failing
-    subtrees are cut, so the pairing found is unchanged, and the search
-    visits at most one failing sub-search per sub-multiset of the carriers.
+    Whether two carriers have a witness depends only on each one's key,
+    the multiset of its other weights' residues mod w taken up to sign, and
+    on t = sign * (-1)**(number of those residues above w/2): the keys must
+    be equal, and the t's opposite unless the key holds w/2 (whose sign is
+    free).  So the carriers can be paired exactly when, for each key, the
+    two values of t are equally frequent (or, for a key holding w/2, the
+    key occurs an even number of times), and removing a witnessed pair
+    keeps that so.  The search therefore pairs the first unpaired carrier
+    with its first witnessed partner and never backtracks: if the carriers
+    left cannot be paired, none can.  The pairing found is the first, in
+    the order that lists all perfect pairings lexicographically, whose
+    pairs all have witnesses.
     """
     if w < 1:
         raise ValueError("w must be positive")
@@ -240,50 +276,29 @@ def check_congruence_pairing(d: FixedPointData, w: int) -> CheckReport:
         return CheckReport(
             name, FAIL, f"odd number of points carry weight {w}: {len(carriers)}"
         )
-    witnesses: dict[tuple[int, int], Optional[dict]] = {}
-
-    def witness(i: int, j: int) -> Optional[dict]:
-        if (i, j) not in witnesses:
-            witnesses[(i, j)] = _pair_witness(d.points[i], d.points[j], w)
-        return witnesses[(i, j)]
-
-    dead: set[tuple] = set()
-
-    def kinds(rest: list[int]) -> tuple:
-        return tuple(sorted((d.points[i].sign, d.points[i].weights) for i in rest))
-
-    def first_pairing(rest: list[int]) -> Optional[list[dict]]:
-        """The first pairing of rest, in the order that pairs rest[0] with
-        each later point in turn, whose pairs all have witnesses."""
-        if not rest:
-            return []
-        if dead and kinds(rest) in dead:
-            return None
-        first = rest[0]
-        for k in range(1, len(rest)):
-            found = witness(first, rest[k])
-            if found is None:
-                continue
-            tail = first_pairing(rest[1:k] + rest[k + 1 :])
-            if tail is not None:
-                return [{"pair": (first, rest[k]), **found}] + tail
-        dead.add(kinds(rest))
-        return None
-
-    assignments = first_pairing(carriers)
-    if assignments is not None:
-        return CheckReport(
-            name,
-            PASS,
-            f"pairing found: {[a['pair'] for a in assignments]}",
-            {"pairing": assignments},
-        )
+    assignments = []
+    rest = list(carriers)
+    while rest:
+        first = rest.pop(0)
+        for k, partner in enumerate(rest):
+            found = _pair_witness(d.points[first], d.points[partner], w)
+            if found is not None:
+                break
+        else:
+            return CheckReport(
+                name,
+                FAIL,
+                f"no perfect pairing of points {carriers} satisfies the mod-{w} "
+                "congruences and sign relation",
+                {"carriers": carriers},
+            )
+        del rest[k]
+        assignments.append({"pair": (first, partner), **found})
     return CheckReport(
         name,
-        FAIL,
-        f"no perfect pairing of points {carriers} satisfies the mod-{w} "
-        "congruences and sign relation",
-        {"carriers": carriers},
+        PASS,
+        f"pairing found: {[a['pair'] for a in assignments]}",
+        {"pairing": assignments},
     )
 
 

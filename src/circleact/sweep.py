@@ -6,20 +6,33 @@ suite with cheap checks first, tests for an admissible 4-vertex multigraph
 matching one of the five shapes, and cross-tabulates the survivors against
 the classification.
 
-The per-candidate work is done once per point kind, before the walk: each
-of the 2·C(W+arity−1, arity) kinds gets its printed form and a weight-parity
-mask (bit w set iff w occurs an odd number of times in the kind).  A
-candidate is a multiset of kind indices; it fails weight parity exactly when
-the XOR of its kinds' masks is nonzero, and then its row is written without
-building a ``FixedPointData``.  Only the zero-mask candidates (16,786 of
-123,410 at four points, arity 3, W = 4) run the full check suite, the graph
-tagging and the classification.
+The cheap checks are decided per point kind.  Each of the
+2·C(W+arity−1, arity) kinds gets, before the walk, its printed form, a
+weight-parity mask (bit w set iff w occurs an odd number of times in the
+kind) and its abbv term sign·L/Π weights, L the lcm of every kind's weight
+product.  A candidate is a nondecreasing tuple of kind indices, and the walk
+carries each prefix's text, mask XOR and term sum down to the candidates
+that extend it:
+
+* a candidate fails weight parity exactly when its mask is nonzero (106,624
+  of 123,410 at four points, arity 3, W = 4);
+* a zero-mask candidate has an even number of weights, so it passes
+  parity_dimension, and uniform_weight_balance and smallest_weights are
+  decided by the predicates of ``constraints`` on its sorted per-sign weight
+  lists;
+* abbv_integral_one fails exactly when the term sum is nonzero.
+
+A candidate that fails one of these gets its row without being built as a
+``FixedPointData``.  Only the rest (250 at W = 4) are built and run through
+the signature check, the congruence pairing, the graph tagging and the
+classification.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterator
 
 from .core import FixedPointData, FixedPointDatum
@@ -65,22 +78,10 @@ class SweepRow:
     classification: str
 
 
-def _cheap_then_full_checks(d: FixedPointData) -> tuple[bool, tuple[str, ...]]:
-    """Run the suite in increasing cost order with early exit on failure.
-
-    Weight parity is left out: ``sweep`` calls this only for candidates
-    whose parity masks XOR to zero, which is exactly when that check
-    passes."""
-    cheap = [
-        constraints.check_parity_dimension,
-        constraints.check_uniform_weight_balance,
-        constraints.check_smallest_weights,
-        constraints.check_abbv,
-    ]
-    for check in cheap:
-        r = check(d)
-        if r.failed:
-            return False, (r.name,)
+def _signature_then_pairing(d: FixedPointData) -> tuple[bool, tuple[str, ...]]:
+    """The checks left once the walk has passed a candidate through the
+    cheap ones: the signature identity, then congruence pairing for every
+    weight value."""
     r = constraints.check_signature_constant(d)
     if r.failed:
         return False, (r.name,)
@@ -107,8 +108,8 @@ def classify_label(d: FixedPointData) -> str:
 
 
 def _checked_row(d: FixedPointData, serialized: str) -> SweepRow:
-    """The row of a candidate that passes weight parity."""
-    ok, failed = _cheap_then_full_checks(d)
+    """The row of a candidate that passes every cheap check."""
+    ok, failed = _signature_then_pairing(d)
     tags: tuple[str, ...] = ()
     classification = ""
     if ok:
@@ -126,23 +127,71 @@ def _checked_row(d: FixedPointData, serialized: str) -> SweepRow:
 _PARITY_FAILED = ("weight_parity",)
 
 
+class _Walk:
+    """The per-sweep tables of the point kinds and the rows written so far.
+
+    A candidate is a nondecreasing tuple of kind indices; ``descend`` walks
+    them in that order, carrying each prefix's text (with a trailing
+    separator), XOR of parity masks and abbv numerator."""
+
+    def __init__(self, arity: int, max_weight: int):
+        self.kinds = point_kinds(arity, max_weight)
+        self.texts = [str(p) for p in self.kinds]
+        self.masks = [parity_mask(p) for p in self.kinds]
+        self.terms = constraints.abbv_terms(self.kinds)[1]
+        self.half = len(self.kinds) // 2  # kinds below it have sign -1
+        self.rows: list[SweepRow] = []
+
+    def descend(
+        self, start: int, left: int, text: str, mask: int, num: int, combo: tuple
+    ) -> None:
+        """Write the rows of every candidate that extends the prefix combo
+        by left more indices, each at least start."""
+        texts, masks, terms = self.texts, self.masks, self.terms
+        n = len(texts)
+        if left > 1:
+            for i in range(start, n):
+                self.descend(
+                    i, left - 1, text + texts[i] + "; ", mask ^ masks[i],
+                    num + terms[i], combo + (i,),
+                )
+            return
+        append = self.rows.append
+        for i in range(start, n):
+            if mask ^ masks[i]:
+                append(SweepRow(text + texts[i], False, _PARITY_FAILED, (), ""))
+            else:
+                append(self.zero_mask_row(combo + (i,), text + texts[i], num + terms[i]))
+
+    def zero_mask_row(self, combo: tuple, text: str, num: int) -> SweepRow:
+        """The row of a candidate that passes weight parity: the first cheap
+        check it fails, decided from its kinds, or else the checked row.
+
+        Such a candidate has an even number of weights, points * arity, so
+        it always passes parity_dimension."""
+        kinds, half = self.kinds, self.half
+        minus = sorted([w for i in combo if i < half for w in kinds[i].weights])
+        plus = sorted([w for i in combo if i >= half for w in kinds[i].weights])
+        if constraints.uniform_weight_balance_fails(plus, minus):
+            failed = "uniform_weight_balance"
+        elif constraints.smallest_weights_clause(plus, minus):
+            failed = "smallest_weights"
+        elif num:
+            failed = "abbv_integral_one"
+        else:
+            return _checked_row(FixedPointData(tuple(kinds[i] for i in combo)), text)
+        return SweepRow(text, False, (failed,), (), "")
+
+
 def sweep(points: int = 4, arity: int = 3, max_weight: int = 3) -> list[SweepRow]:
     """Full oracle run; rows are emitted for every candidate, sorted."""
-    kinds = point_kinds(arity, max_weight)
-    texts = [str(p) for p in kinds]
-    masks = [parity_mask(p) for p in kinds]
-    rows = []
-    for combo in itertools.combinations_with_replacement(range(len(kinds)), points):
-        mask = 0
-        for i in combo:
-            mask ^= masks[i]
-        serialized = "; ".join([texts[i] for i in combo])
-        if mask:
-            rows.append(SweepRow(serialized, False, _PARITY_FAILED, (), ""))
-        else:
-            d = FixedPointData(tuple(kinds[i] for i in combo))
-            rows.append(_checked_row(d, serialized))
-    rows.sort(key=lambda r: r.serialized)
+    walk = _Walk(arity, max_weight)
+    if points:
+        walk.descend(0, points, "", 0, 0, ())
+    else:
+        walk.rows.append(walk.zero_mask_row((), "", 0))
+    rows = walk.rows
+    rows.sort(key=attrgetter("serialized"))
     return rows
 
 

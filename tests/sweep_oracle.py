@@ -1,16 +1,21 @@
 """The former generate-and-filter routes, for tests only.
 
-``circleact.sweep`` folds weight parity into the walk over point kinds
-(and leaves it out of the checks it runs afterwards),
-``circleact.multigraph`` lists each weight value's distinct loop-free pair
-multisets directly, and ``circleact.constraints`` backtracks over the
-congruence pairings with each pair's witness computed once and each
-failing sub-multiset of carriers searched once.  This module keeps the
-implementations they replaced: the sweep that builds and checks every
-candidate with the whole suite, the graph enumeration over all (m-1)!!
-occurrence matchings followed by deduplication, and the pairing check that
-walks every perfect pairing and recomputes each pair's witness.  Tests require both
-routes to give the same rows, graphs and reports.
+``circleact.sweep`` decides weight parity and the other cheap checks per
+point kind during its walk and builds as data only the candidates that
+pass them; ``circleact.multigraph`` lists each weight value's distinct
+loop-free pair multisets directly; and ``circleact.constraints`` pairs each
+congruence-pairing carrier with its first witnessed partner, without
+backtracking.  This module keeps the implementations they replaced, as the
+references the tests compare them against:
+
+* ``sweep_by_filtering`` builds every candidate as data and runs the whole
+  suite through ``checks_in_full``, the reference for the sweep's per-kind
+  decisions, its rows and its CSV;
+* ``enumerate_admissible_by_matchings`` enumerates all (m-1)!! occurrence
+  matchings and deduplicates, the reference for ``enumerate_admissible``;
+* ``congruence_pairing_by_enumeration`` walks every perfect pairing and
+  recomputes each pair's witness, the reference for
+  ``check_congruence_pairing``'s status, witness and detail.
 """
 
 from __future__ import annotations

@@ -101,8 +101,13 @@ class TestCheck:
 
     def test_negative_order_exit_2(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(PETRIE_TEXT))
-        code, _, err = run(capsys, "check", "--order", "-1", "-")
-        assert code == 2 and "order" in err
+        code, out, err = run(capsys, "check", "--order", "-1", "-")
+        assert code == 2 and out == "" and "order" in err
+
+    def test_order_over_limit_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(PETRIE_TEXT))
+        code, out, err = run(capsys, "check", "--order", "1000001", "-")
+        assert code == 2 and out == "" and "supported degree" in err
 
     def test_degree_limit_exit_2(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("+ 1 1000000\n- 2 999999\n"))

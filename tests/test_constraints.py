@@ -3,6 +3,7 @@ import math
 import sys
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,6 +27,7 @@ from circleact.constraints import (
     check_weight_parity,
     overall_verdict,
     run_all,
+    smallest_weights_clause,
 )
 from circleact import constraints
 from conftest import even_data, random_data
@@ -134,6 +136,42 @@ class TestSmallestWeights:
     def test_inapplicable_small_class(self):
         assert check_smallest_weights(data((1, 1, 2), (1, 1, 2))).status == INAPPLICABLE
 
+    def test_positions_witness(self):
+        r = check_smallest_weights(data((1, 1, 2, 2), (-1, 1, 2, 3)))
+        assert r.status == FAIL
+        assert r.witness == "positions of value 2 differ between sign classes: [1, 2] vs [1]"
+
+    @pytest.mark.parametrize(
+        "plus, minus, clause",
+        [
+            ([1, 2, 2], [1, 2, 3], "positions"),
+            ([1, 1, 2], [1, 1, 1], "positions"),
+            ([1, 2, 2, 2], [1, 2, 2, 4], "positions"),
+            ([1, 2, 2], [1, 2, 2, 5], None),
+            ([2, 2, 2], [2, 2, 2], None),
+            ([1, 3, 3], [1, 3, 4], "positions"),
+            ([1, 2], [1, 3], "a2"),
+            ([2, 3], [1, 3], "a1"),
+            ([1], [1, 2], None),
+            ([], [1, 1], None),
+        ],
+    )
+    def test_clause(self, plus, minus, clause):
+        assert smallest_weights_clause(plus, minus) == clause
+
+    def test_positions_clause_is_index_sets(self, rng):
+        # the count rule against the definition: the index sets of a2
+        for _ in range(3000):
+            plus = sorted(rng.randint(1, 4) for _ in range(rng.randint(2, 7)))
+            minus = sorted(rng.randint(1, 4) for _ in range(rng.randint(2, 7)))
+            a1_a2_agree = plus[:2] == minus[:2]
+            positions_differ = {i for i, w in enumerate(plus) if w == plus[1]} != {
+                i for i, w in enumerate(minus) if w == plus[1]
+            }
+            assert (smallest_weights_clause(plus, minus) == "positions") == (
+                a1_a2_agree and positions_differ
+            ), (plus, minus)
+
 
 class TestUniformBalance:
     def test_balanced(self):
@@ -197,8 +235,38 @@ def _report(r):
 
 
 class TestCongruenceAgainstEnumeration:
-    """Backtracking with memoized pair witnesses against the walk over
-    every perfect pairing."""
+    """The first-partner search against the walk over every perfect
+    pairing."""
+
+    @pytest.mark.parametrize("w", range(2, 8))
+    def test_every_small_carrier_multiset(self, w):
+        # every multiset of 1-4 carriers of w whose other weights run over
+        # the residues 1..w-1 (a report depends on the weights only through
+        # their residues mod w): arity 2, and arity 3 up to w = 5
+        for arity in (2, 3) if w <= 5 else (2,):
+            others = list(itertools.combinations_with_replacement(range(1, w), arity - 1))
+            kinds = [FixedPointDatum(s, (w, *o)) for s in (-1, 1) for o in others]
+            for size in range(1, 5):
+                for combo in itertools.combinations_with_replacement(kinds, size):
+                    d = FixedPointData(combo)
+                    assert _report(check_congruence_pairing(d, w)) == _report(
+                        congruence_pairing_by_enumeration(d, w)
+                    ), d
+
+    @pytest.mark.parametrize("w", range(2, 8))
+    def test_random_larger_carrier_sets(self, rng, w):
+        for _ in range(40):
+            d = FixedPointData(
+                tuple(
+                    FixedPointDatum(
+                        rng.choice((-1, 1)), (w, rng.randint(1, w - 1), rng.randint(1, w - 1))
+                    )
+                    for _ in range(rng.randint(6, 8))
+                )
+            )
+            assert _report(check_congruence_pairing(d, w)) == _report(
+                congruence_pairing_by_enumeration(d, w)
+            ), d
 
     def test_random_data(self, rng):
         for _ in range(300):
@@ -247,17 +315,18 @@ class TestCongruenceAgainstEnumeration:
 
     def test_failed_sub_searches_not_repeated(self):
         """With 11 positive and 9 negative carriers of {1,1,7}, every
-        opposite-sign pair has a witness but no pairing exists; the
-        remaining carriers always form one of at most 12 * 10 sub-multisets,
-        each searched to failure once.  Without that memo the search makes
-        about a million calls."""
+        opposite-sign pair has a witness but no pairing exists.  The search
+        pairs each carrier with its first witnessed partner and never
+        backtracks, so it tries each pair at most once; the backtracking
+        over every partial pairing made about a million calls."""
         for plus, minus in ((11, 9), (15, 13)):
             d = data(*[(1, 7, 1, 1)] * plus, *[(-1, 7, 1, 1)] * minus)
+            k = plus + minus
             calls = _count_calls(
-                "first_pairing", lambda: check_congruence_pairing(d, 7)
+                "_pair_witness", lambda: check_congruence_pairing(d, 7)
             )
             assert check_congruence_pairing(d, 7).status == FAIL
-            assert calls <= (plus + 1) * (minus + 1)
+            assert calls <= k * (k - 1) // 2
 
     def test_many_carriers_of_few_kinds(self, rng):
         # 10 carriers drawn from 4 kinds, two weight triples with both signs,
