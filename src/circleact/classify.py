@@ -8,9 +8,10 @@ grammar: add a coprime rotation pair, or split a positive/negative datum).
 
 Both searches are direct. The projective-space parameters are read off the
 negative points (at most 12 candidates, whatever the weights), and every
-match is among them. Dimension-4 membership is a reverse search with full
-backtracking over a count state, iterative, so its depth is not bounded by
-the recursion limit.
+match is among them. Dimension-4 membership is a walk that takes back the
+first reverse move until nothing is left or no move applies; the grammar
+never needs backtracking (see ``_reverse_search``), so the walk makes at most
+one move per point and its depth is not bounded by the recursion limit.
 """
 
 from __future__ import annotations
@@ -289,16 +290,13 @@ class _ReverseState:
     drops first occurrences and appends new points would. ``pairs`` holds
     the coprime weights w with both (+, w) and (-, w) present; ``splits``
     holds the (sign, lo, hi) whose products (lo, lo+hi) and (hi, lo+hi) are
-    both present. A count change refreshes both in O(1). ``hash`` is the
-    sum of the hashes of all copies: equal multisets have equal sums, so it
-    filters memo lookups before an exact key is built.
+    both present. A count change refreshes both in O(1).
     """
 
     def __init__(self, points):
         self.copies: dict = {}
         self.pairs: set = set()
         self.splits: set = set()
-        self.hash = 0
         self.stamp = 0
         for p in points:
             self.push((p.sign, p.weights))
@@ -306,28 +304,18 @@ class _ReverseState:
     def count(self, point) -> int:
         return len(self.copies.get(point, ()))
 
-    def key(self) -> frozenset:
-        return frozenset((p, len(q)) for p, q in self.copies.items())
-
-    def push(self, point, stamp=None) -> None:
-        """Add a new copy at the back, or put a removed one back in front."""
-        queue = self.copies.setdefault(point, deque())
-        if stamp is None:
-            self.stamp += 1
-            queue.append(self.stamp)
-        else:
-            queue.appendleft(stamp)
-        self.hash += hash(point)
+    def push(self, point) -> None:
+        self.stamp += 1
+        self.copies.setdefault(point, deque()).append(self.stamp)
         self._refresh(point)
 
-    def pop(self, point, oldest=True) -> int:
+    def pop(self, point) -> None:
+        """Remove the oldest copy of ``point``."""
         queue = self.copies[point]
-        stamp = queue.popleft() if oldest else queue.pop()
+        queue.popleft()
         if not queue:
             del self.copies[point]
-        self.hash -= hash(point)
         self._refresh(point)
-        return stamp
 
     def _refresh(self, point) -> None:
         sign, (x, y) = point
@@ -344,90 +332,89 @@ class _ReverseState:
         else:
             self.pairs.discard(w)
 
-    def moves(self) -> list[dict]:
-        """The forward steps that could have come last, in search order.
+    def first_move(self) -> Optional[dict]:
+        """The first forward step that could have come last, or None.
 
-        Rotation pairs first, by weights; then splits, largest produced
+        Rotation pairs come first, by weights; then splits, largest produced
         weight first, + before -, and then the split one of whose products
         was inserted first.
         """
+        if self.pairs:
+            return {"op": "add_pair", "params": min(self.pairs)}
+        if not self.splits:
+            return None
+
         def order(split):
             sign, lo, hi = split
             top = lo + hi
             first = min(self.copies[(sign, (lo, top))][0], self.copies[(sign, (hi, top))][0])
             return -top, -sign, first
 
-        return [{"op": "add_pair", "params": w} for w in sorted(self.pairs)] + [
-            {"op": "split_plus" if sign == 1 else "split_minus", "params": (lo, hi)}
-            for sign, lo, hi in sorted(self.splits, key=order)
-        ]
+        sign, lo, hi = min(self.splits, key=order)
+        return {"op": "split_plus" if sign == 1 else "split_minus", "params": (lo, hi)}
 
-    def unapply(self, step) -> tuple:
-        """Take back a forward step; returns the stamps ``reapply`` needs."""
+    def unapply(self, step) -> None:
+        """Take back a forward step."""
         a, b = step["params"]
         if step["op"] == "add_pair":
-            return self.pop((1, (a, b))), self.pop((-1, (a, b)))
-        sign = 1 if step["op"] == "split_plus" else -1
-        stamps = self.pop((sign, (a, a + b))), self.pop((sign, (b, a + b)))
-        self.push((sign, (a, b)))
-        return stamps
-
-    def reapply(self, step, stamps) -> None:
-        a, b = step["params"]
-        if step["op"] == "add_pair":
-            self.push((-1, (a, b)), stamps[1])
-            self.push((1, (a, b)), stamps[0])
+            self.pop((1, (a, b)))
+            self.pop((-1, (a, b)))
             return
         sign = 1 if step["op"] == "split_plus" else -1
-        self.pop((sign, (a, b)), oldest=False)
-        self.push((sign, (b, a + b)), stamps[1])
-        self.push((sign, (a, a + b)), stamps[0])
+        self.pop((sign, (a, a + b)))
+        self.pop((sign, (b, a + b)))
+        self.push((sign, (a, b)))
 
 
 def _reverse_search(points) -> Optional[list[dict]]:
     """Forward trace generating ``points``, or None if there is none.
 
-    Depth-first over the reverse moves of ``_ReverseState.moves``, with full
-    backtracking and an explicit stack, so the depth is bounded by memory
-    and not by the interpreter's recursion limit. Every reverse step lowers
-    the total weight sum, so the search ends. States whose every move
-    failed are memoized as dead for the rest of this call.
+    Takes back ``_ReverseState.first_move`` until nothing is left (the
+    trace) or no move applies (None). No backtracking is needed:
+
+    1. Points of generated data are coprime pairs, and these form one tree
+       rooted at (1, 1): the parent of (x, y) with x < y is the sorted
+       (x, y - x). Map each node to the indicator of its set of infinite
+       descent paths, counting (1, 1) twice because both of its children
+       are (1, 2). A split keeps each sign's sum of indicators; a rotation
+       pair adds the same to both sums.
+    2. Merging siblings within one sign until no sibling pair is left has a
+       unique result: two merged forms with equal sums are equal. Otherwise
+       take a node of least depth whose counts differ; the strict
+       descendants of it in the form with fewer copies cover its path set.
+       The topmost of them partition that set, and the deepest of those has
+       its sibling among them: a sibling pair.
+    3. So data is generated exactly when its points are coprime and its
+       plus and minus sums agree: then both signs merge to the same form,
+       which is removed as rotation pairs.
+    4. Both reverse moves keep the points coprime and the two sums equal,
+       and nonempty generated data always has a move (a sibling pair, or
+       else equal merged forms and so a rotation pair). So every move from
+       generated data stays generated. Depth-first search tries the first
+       move first, so it would take the walk's path, and return the same
+       trace. Each move removes at least one point, so the walk makes at
+       most one move per point.
     """
     state = _ReverseState(points)
-    if not state.copies:
-        return []
-    dead: set = set()
-    dead_hashes: set = set()
-    path: list = []  # (step, stamps) of each reverse move taken, root first
-    stack = [iter(state.moves())]
-    while stack:
-        step = next(stack[-1], None)
+    steps: list[dict] = []  # reverse moves taken, root first
+    while state.copies:
+        step = state.first_move()
         if step is None:
-            dead.add(state.key())
-            dead_hashes.add(state.hash)
-            stack.pop()
-            if path:
-                state.reapply(*path.pop())
-            continue
-        path.append((step, state.unapply(step)))
-        if not state.copies:
-            return [s for s, _ in reversed(path)]
-        if state.hash in dead_hashes and state.key() in dead:
-            state.reapply(*path.pop())
-            continue
-        stack.append(iter(state.moves()))
-    return None
+            return None
+        state.unapply(step)
+        steps.append(step)
+    steps.reverse()
+    return steps
 
 
 def membership_4d(d: FixedPointData, effective: bool = True) -> Classification:
     """Decide whether arity-2 data is generated by the grammar.
 
     The grammar adds a coprime rotation pair {+,a,b},{-,a,b} or splits a
-    datum {s,c,d} into {s,c,c+d},{s,d,c+d}. The reverse search tries every
-    move that takes a step back and backtracks on failure, so it finds a
-    trace whenever one exists. With the moves kept current per count change
-    and the memo key built only for dead states, a split chain of n steps
-    costs O(n log n), most of it in the final replay check.
+    datum {s,c,d} into {s,c,c+d},{s,d,c+d}. The reverse search takes back
+    the first applicable move at each step; ``_reverse_search`` shows why
+    that finds a trace whenever one exists. It makes at most one move per
+    point, and the trace is checked by replaying it.
     """
     if d.points and d.arity != 2:
         raise ValueError("needs arity-2 data")

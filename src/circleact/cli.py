@@ -16,7 +16,7 @@ from .classify import classify, figure1_taggable
 from .generators import GENERATORS
 from .multigraph import NoMatchingError, enumerate_admissible, match_figure1, serialize_graph
 from .rewrite import ReductionFailure, collection_from_data, reduce_to_empty
-from .series import signature_series
+from .series import check_order, signature_series
 
 PASS_EXIT, FAIL_EXIT, ERROR_EXIT = 0, 1, 2
 
@@ -36,6 +36,8 @@ def _emit(obj, args) -> None:
 
 
 def cmd_check(args) -> int:
+    if args.order is not None:
+        check_order(args.order)  # refused whatever the data, before any output
     d = _read_input(args.input)
     weights = set(args.pair_weights) if args.pair_weights else None
     reports = constraints.run_all(d, weights_to_pair=weights)

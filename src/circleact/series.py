@@ -70,13 +70,20 @@ def _net_signs(d: FixedPointData) -> dict[tuple[int, ...], int]:
     return {weights: sign for weights, sign in signs.items() if sign}
 
 
-def _series(signs: dict[tuple[int, ...], int], length: int) -> list[int]:
-    """Coefficients of t^0..t^(length-1) of sum sign * prod (1+t^w)/(1-t^w)."""
-    if length - 1 > MAX_DEGREE:
+def check_order(order: int) -> None:
+    """Refuse (ValueError) a series order outside 0..MAX_DEGREE."""
+    if order < 0:
+        raise ValueError("order must be non-negative")
+    if order > MAX_DEGREE:
         raise ValueError(
-            f"signature series through degree {length - 1} exceeds the "
+            f"signature series through degree {order} exceeds the "
             f"supported degree {MAX_DEGREE}"
         )
+
+
+def _series(signs: dict[tuple[int, ...], int], length: int) -> list[int]:
+    """Coefficients of t^0..t^(length-1) of sum sign * prod (1+t^w)/(1-t^w)."""
+    check_order(length - 1)
     total = [0] * length
     for weights, sign in signs.items():
         g = [0] * length
@@ -94,8 +101,7 @@ def _series(signs: dict[tuple[int, ...], int], length: int) -> list[int]:
 
 def signature_series(d: FixedPointData, order: int) -> TruncatedSeries:
     """sum_p eps(p) * prod_i (1+t^w_pi)/(1-t^w_pi) through t^order, exactly."""
-    if order < 0:
-        raise ValueError("order must be non-negative")
+    check_order(order)
     return TruncatedSeries(order, _series(_net_signs(d), order + 1))
 
 

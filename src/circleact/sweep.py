@@ -31,9 +31,8 @@ classification.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import attrgetter
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .core import FixedPointData, FixedPointDatum
 from . import constraints
@@ -69,8 +68,7 @@ def enumerate_candidates(
         yield FixedPointData(combo)
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     serialized: str
     checks_passed: bool
     failed_checks: tuple[str, ...]

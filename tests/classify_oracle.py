@@ -1,11 +1,17 @@
-"""The former search-based classifiers, for tests only.
+"""Independent classifiers, for tests only.
 
 ``circleact.classify`` finds the Case-2 parameters from the negative points
-and runs the dimension-4 reverse search iteratively over a count state.
-This module keeps the implementations they replaced: the search over every
+and decides dimension-4 membership with a walk that never backtracks.  This
+module keeps the implementations they replaced: the search over every
 (a, b, c) with a+b+c at most the largest weight, and the recursive reverse
-search that copies and re-sorts the state at every level.  Tests require
-both routes to report the same matches and the same traces.
+search with full backtracking, which copies and re-sorts the state at every
+level.  It is the reference for the walk: tests require the same verdicts
+and, byte for byte, the same traces, so a walk that takes a move from which
+no trace exists, or a different first move, shows up.
+
+``generated_by_merged_forms`` decides membership without any search, from
+the criterion that makes the walk exact: the points are coprime and the two
+signs merge to the same form.
 """
 
 from __future__ import annotations
@@ -127,3 +133,32 @@ def membership_4d_recursive(d: FixedPointData, effective: bool = True) -> Classi
             (NotInClassification("reverse search exhausted; not generated"),)
         )
     return Classification((FourDimReachable(tuple(trace + prefix)),))
+
+
+def merged_form(weights) -> Counter:
+    """Merge sibling pairs, (x, x+y) and (y, x+y) into (x, y), until none
+    is left; the result does not depend on the order of the merges."""
+    counts = Counter(weights)
+    merged = True
+    while merged:
+        merged = False
+        for x, y in list(counts):
+            if x >= y or not counts[(x, y)]:
+                continue
+            sibling = tuple(sorted((y - x, y)))
+            if counts[sibling] >= (2 if sibling == (x, y) else 1):
+                counts[(x, y)] -= 1
+                counts[sibling] -= 1
+                counts[tuple(sorted((x, y - x)))] += 1
+                merged = True
+    return +counts
+
+
+def generated_by_merged_forms(d: FixedPointData) -> bool:
+    """Whether the grammar generates arity-2 data ``d`` (no normalization):
+    every point is coprime and both signs merge to the same form."""
+    if any(math.gcd(*p.weights) != 1 for p in d.points):
+        return False
+    plus = merged_form(p.weights for p in d.points if p.sign == 1)
+    minus = merged_form(p.weights for p in d.points if p.sign == -1)
+    return plus == minus

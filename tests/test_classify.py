@@ -26,7 +26,11 @@ from circleact.classify import (
 from circleact.cli import main
 from circleact.core import FixedPointData, FixedPointDatum, data
 from circleact.generators import gen_blowup, gen_cp2, gen_cp3, gen_s6, gen_s6_pair
-from classify_oracle import case2_params_by_search, membership_4d_recursive
+from classify_oracle import (
+    case2_params_by_search,
+    generated_by_merged_forms,
+    membership_4d_recursive,
+)
 
 PETRIE = data((1, 7, 2, 3), (-1, 7, 2, 3), (1, 5, 2, 3), (-1, 5, 2, 3))
 
@@ -289,7 +293,34 @@ class TestCase2CrossOracle:
         assert classify_6d4fp(gen_cp3(60, 61, 62)).case2_params() == [(60, 61, 62)]
 
 
+def small_grid():
+    """Every arity-2 multiset of 1-2 points with weights <= 8, 3 points with
+    weights <= 6 and 4 points with weights <= 4."""
+    for points, max_weight in ((1, 8), (2, 8), (3, 6), (4, 4)):
+        kinds = [
+            (sign, x, y)
+            for sign in (-1, 1)
+            for x in range(1, max_weight + 1)
+            for y in range(x, max_weight + 1)
+        ]
+        for combo in itertools.combinations_with_replacement(kinds, points):
+            yield data(*combo)
+
+
 class TestMembershipCrossOracle:
+    def test_exhaustive_small_grid(self):
+        for d in small_grid():
+            got = membership_4d(d, effective=False).to_json()
+            assert got == membership_4d_recursive(d, effective=False).to_json(), str(d)
+
+    def test_merged_form_criterion(self):
+        generated = 0
+        for d in small_grid():
+            verdict = membership_4d(d).classified
+            assert verdict == generated_by_merged_forms(d), str(d)
+            generated += verdict
+        assert generated == 59  # both verdicts occur on the grid
+
     def test_cp2_grid(self):
         for a, b in itertools.product(range(1, 9), repeat=2):
             d = gen_cp2(a, b)
@@ -331,6 +362,11 @@ class TestDeepSplitChain:
         assert isinstance(match, FourDimReachable)
         assert len(match.trace) == self.STEPS + 1
         assert replay_4d_trace(match.trace).same_as(d)
+
+    def test_long_chain_with_flipped_sign_rejected(self):
+        d = _flip_sign(split_chain(self.STEPS), 0)
+        (match,) = membership_4d(d).matches
+        assert isinstance(match, NotInClassification)
 
     def test_cli_classifies_long_chain(self, capsys, tmp_path):
         limit = sys.getrecursionlimit()

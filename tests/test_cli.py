@@ -100,14 +100,16 @@ class TestCheck:
         assert code == 2 and out == "" and err.startswith("error: ")
 
     def test_negative_order_exit_2(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO(PETRIE_TEXT))
-        code, out, err = run(capsys, "check", "--order", "-1", "-")
-        assert code == 2 and out == "" and "order" in err
+        for text in (PETRIE_TEXT, ""):  # empty data has no series to compute
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            code, out, err = run(capsys, "check", "--order", "-1", "-")
+            assert code == 2 and out == "" and "order" in err, repr(text)
 
     def test_order_over_limit_exit_2(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO(PETRIE_TEXT))
-        code, out, err = run(capsys, "check", "--order", "1000001", "-")
-        assert code == 2 and out == "" and "supported degree" in err
+        for text in (PETRIE_TEXT, ""):
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            code, out, err = run(capsys, "check", "--order", "1000001", "-")
+            assert code == 2 and out == "" and "supported degree" in err, repr(text)
 
     def test_degree_limit_exit_2(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("+ 1 1000000\n- 2 999999\n"))
