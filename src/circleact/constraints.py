@@ -3,12 +3,12 @@
 Each check returns a three-valued CheckReport (pass / fail / inapplicable)
 with a human-readable witness, so the aggregated suite never silently skips
 a condition.  Passing all checks is necessary, not sufficient, for the data
-to come from an actual manifold.
+to come from an actual manifold.  Congruence-pairing witnesses are built
+directly, in time quadratic in the arity, and tried at most once per pair.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -211,26 +211,44 @@ def check_uniform_weight_balance(d: FixedPointData) -> CheckReport:
 
 
 def _pair_witness(p, q, w: int):
-    """Search for (sigma, nu) making the residue and sign relations hold.
+    """The first (sigma, nu), with sigma lexicographic and then nu with +1
+    before -1, such that x_i = nu_i * y_sigma(i) (mod w) for the weights x
+    of p and y of q other than w (each carries w once), and
+    eps(p) = eps(q) * (-1)**(nu_minus + 1).  It is built directly:
 
-    Both points carry the weight w exactly once; the remaining weights are
-    compared modulo w under a bijection sigma and sign map nu, with
-    eps(p) = eps(q) * (-1)**(nu_minus + 1).
+    * Residues match only within a class {r, -r}, so any choice inside a
+      class leaves a completable remainder: taking for each x the least
+      unused y of its class gives the first sigma.
+    * Within a class with r != -r, nu is forced and the parity of its -1's
+      is the same under every sigma.  So only a free position, where both
+      signs hold (residue 0 or w/2), can change the parity of nu_minus; the
+      first nu flips the last free position when the signs need it.
     """
     rest_p = list(p.weights)
     rest_p.remove(w)
     rest_q = list(q.weights)
     rest_q.remove(w)
-    m = len(rest_p)
-    for sigma in itertools.permutations(range(m)):
-        for nu in itertools.product((1, -1), repeat=m):
-            if any((rest_p[i] - nu[i] * rest_q[sigma[i]]) % w for i in range(m)):
-                continue
-            nu_minus = sum(1 for v in nu if v == -1)
-            if p.sign != q.sign * (-1) ** (nu_minus + 1):
-                continue
-            return {"sigma": sigma, "nu": nu, "nu_minus": nu_minus}
-    return None
+    unused = list(range(len(rest_q)))
+    sigma, nu, free = [], [], None
+    for i, x in enumerate(rest_p):
+        for j in unused:
+            plus, minus = (x - rest_q[j]) % w == 0, (x + rest_q[j]) % w == 0
+            if plus or minus:
+                break
+        else:
+            return None
+        unused.remove(j)
+        sigma.append(j)
+        nu.append(1 if plus else -1)
+        if plus and minus:
+            free = i
+    nu_minus = nu.count(-1)
+    if p.sign != q.sign * (-1) ** (nu_minus + 1):
+        if free is None:
+            return None
+        nu[free] = -1
+        nu_minus += 1
+    return {"sigma": tuple(sigma), "nu": tuple(nu), "nu_minus": nu_minus}
 
 
 def check_congruence_pairing(d: FixedPointData, w: int) -> CheckReport:

@@ -89,11 +89,18 @@ class SignedDatumClass:
         return "[%s,%s]" % (s, ",".join(str(w) for w in self.weights))
 
 
+def canonical_form(sign: int, weights: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """The canonical ``(sign, weights)`` of a signed weight tuple: weights
+    made positive and sorted, the sign flipped once per negative entry."""
+    for w in weights:
+        if w < 0:
+            sign = -sign
+    return sign, tuple(sorted(map(abs, weights)))
+
+
 def canonicalize(cls: SignedDatumClass) -> SignedDatumClass:
     """Canonical representative: all weights positive, sign adjusted."""
-    negatives = sum(1 for w in cls.weights if w < 0)
-    sign = cls.sign * (-1) ** negatives
-    return SignedDatumClass(sign, tuple(sorted(abs(w) for w in cls.weights)))
+    return SignedDatumClass(*canonical_form(cls.sign, cls.weights))
 
 
 def class_to_datum(cls: SignedDatumClass) -> FixedPointDatum:
@@ -115,8 +122,7 @@ def from_complex_weights(weights: Iterable[int]) -> FixedPointDatum:
     for w in ws:
         if w == 0:
             raise InvalidWeightError("zero complex weight")
-    c = canonicalize(SignedDatumClass(1, ws))
-    return FixedPointDatum(c.sign, c.weights)
+    return FixedPointDatum(*canonical_form(1, ws))
 
 
 @dataclass(frozen=True)
@@ -202,10 +208,10 @@ def parse(text: str) -> FixedPointData:
         sign = 1 if tokens[0] == "+" else -1
         if len(tokens) < 2:
             raise ParseError(line_no, "no weights on line")
-        try:
-            weights = tuple(int(t) for t in tokens[1:])
-        except ValueError:
-            raise ParseError(line_no, f"non-integer weight in {tokens[1:]}") from None
+        # int() alone would also read "1_0", "+3" and non-ASCII digits
+        if not all(t.isascii() and t.removeprefix("-").isdigit() for t in tokens[1:]):
+            raise ParseError(line_no, f"non-integer weight in {tokens[1:]}")
+        weights = tuple(int(t) for t in tokens[1:])
         if any(w < 1 for w in weights):
             raise ParseError(line_no, "weights must be positive integers")
         if arity is None:

@@ -5,10 +5,11 @@ always be converted to the empty collection.  This module enumerates
 applicable operation instances from one move table, checking that the
 removed classes are present on plain (sign, weights) tuples before building
 the added ones, applies them with multiset semantics, and searches for a
-reduction: deterministic short scripts for the two known 4-point shapes,
-bounded iterative deepening otherwise.  The search runs on sorted tuples of
+reduction: closed-form scripts for the two known 4-point shapes, bounded
+iterative deepening otherwise.  The search runs on sorted tuples of
 canonical (sign, weights) pairs, computes each state's successors once per
-call and builds ``RewriteMove`` objects only for the path it returns.
+call and builds ``RewriteMove`` objects, all in ``_build``, only for the
+path it returns.
 """
 
 from __future__ import annotations
@@ -22,10 +23,11 @@ from typing import Iterable, Optional
 from .core import (
     FixedPointData,
     SignedDatumClass,
+    canonical_form,
     canonicalize,
     class_to_datum,
 )
-from .classify import classify_6d4fp, Case1Match, Case2Match
+from .classify import classify_6d4fp
 
 
 class StaleMoveError(ValueError):
@@ -43,10 +45,6 @@ def collection_from_data(d: FixedPointData) -> Collection:
 
 def collection_from_classes(classes: Iterable[SignedDatumClass]) -> Collection:
     return Counter(canonicalize(c) for c in classes)
-
-
-def _cls(sign: int, weights) -> SignedDatumClass:
-    return canonicalize(SignedDatumClass(sign, tuple(weights)))
 
 
 @dataclass(frozen=True)
@@ -70,24 +68,6 @@ class RewriteMove:
         removed = ", ".join(str(c) for c in self.removed)
         added = ", ".join(str(c) for c in self.added) or "(nothing)"
         return f"op({self.op}) params={self.params}: remove {removed}; add {added}"
-
-
-def _move(op, s, params, removed, added) -> RewriteMove:
-    return RewriteMove(
-        op,
-        s,
-        tuple(params),
-        tuple(sorted(removed, key=lambda c: (c.sign, c.weights))),
-        tuple(sorted(added, key=lambda c: (c.sign, c.weights))),
-    )
-
-
-def _canon(sign: int, weights) -> tuple[int, tuple[int, ...]]:
-    """``canonicalize`` on a plain ``(sign, weights)`` pair."""
-    for w in weights:
-        if w < 0:
-            sign = -sign
-    return sign, tuple(sorted(map(abs, weights)))
 
 
 def _pattern(op: int, s: int, params: tuple[int, ...]):
@@ -145,14 +125,21 @@ def _pattern(op: int, s: int, params: tuple[int, ...]):
     raise ValueError(f"unknown operation {op}")
 
 
-def _instantiate(op: int, s: int, params: tuple[int, ...]) -> Optional[RewriteMove]:
-    """Build the move for one operation instance, or None if a side
-    condition fails."""
-    pattern = _pattern(op, s, params)
-    if pattern is None:
-        return None
-    removed, added = pattern
-    return _move(op, s, params, [_cls(*c) for c in removed], [_cls(*c) for c in added])
+def _sorted_canonical(pairs) -> list:
+    return sorted([canonical_form(*c) for c in pairs])
+
+
+def _build(key: tuple, removed, added) -> RewriteMove:
+    """The move of ``key = (op, orientation, params)`` from its sorted
+    canonical (sign, weights) pairs."""
+    removed = tuple(SignedDatumClass(*c) for c in removed)
+    return RewriteMove(*key, removed, tuple(SignedDatumClass(*c) for c in added))
+
+
+def _instantiate(op: int, s: int, params: tuple[int, ...]) -> RewriteMove:
+    """The move of one operation instance whose side conditions hold."""
+    removed, added = _pattern(op, s, params)
+    return _build((op, s, params), _sorted_canonical(removed), _sorted_canonical(added))
 
 
 def _present(coll: Collection, removed) -> bool:
@@ -170,7 +157,7 @@ def _candidates(sign: int, w: tuple[int, int, int]):
     if w[0] < w[1] < w[2]:
         yield 2, sign, w
     # op 3: every role assignment of the weights
-    for perm in _distinct_permutations(w):
+    for perm in set(itertools.permutations(w)):
         yield 3, sign, perm
     # ops 4 and 5: [s, A, A, C] and [s, C, A, A]
     pairs = _repeated_pairs(w)
@@ -190,14 +177,14 @@ def _move_keys(count: dict) -> list:
             pattern = _pattern(*key)
             if pattern is None:
                 continue
-            removed, added = pattern
-            first, second = sorted([_canon(*c) for c in removed])
+            removed = _sorted_canonical(pattern[0])
+            first, second = removed
             if first == second:
                 if count.get(first, 0) < 2:
                     continue
             elif first not in count or second not in count:
                 continue
-            out.append((key, (first, second), sorted([_canon(*c) for c in added])))
+            out.append((key, removed, _sorted_canonical(pattern[1])))
     out.sort(key=lambda m: m[0])
     return out
 
@@ -210,11 +197,7 @@ def applicable_moves(coll: Collection) -> list[RewriteMove]:
         if c.arity != 3:
             raise ValueError("rewriting is defined for arity-3 classes")
     count = {(c.sign, c.weights): k for c, k in coll.items() if k > 0}
-    return [_instantiate(*key) for key, _, _ in _move_keys(count)]
-
-
-def _distinct_permutations(w: tuple[int, int, int]):
-    return set(itertools.permutations(w))
+    return [_build(*m) for m in _move_keys(count)]
 
 
 def _repeated_pairs(w: tuple[int, int, int]):
@@ -281,49 +264,35 @@ def _sorted_classes(coll: Collection) -> tuple[SignedDatumClass, ...]:
 
 
 def _case_script(coll: Collection) -> Optional[list[RewriteMove]]:
-    """Deterministic reduction for the two known 4-point shapes."""
+    """The closed-form reduction of the two known 4-point shapes: op 1 at
+    each pair of a Case-1 datum; for the Case-2 template with parameters
+    (a, b, c), op 2 at (a, a+b, a+b+c), which leaves the opposite-sign
+    pairs (a, b, b+c) and (b, c, a+b), then op 1 at each of them."""
     if sum(coll.values()) != 4 or any(c.arity != 3 for c in coll):
         return None
-    try:
-        d = FixedPointData(tuple(class_to_datum(c) for c in coll.elements()))
-        verdict = classify_6d4fp(d)
-    except ValueError:
-        return None
-    case2 = next((m for m in verdict.matches if isinstance(m, Case2Match)), None)
-    case1 = next((m for m in verdict.matches if isinstance(m, Case1Match)), None)
+    verdict = classify_6d4fp(
+        FixedPointData(tuple(class_to_datum(c) for c in coll.elements()))
+    )
+    case1 = verdict.case1()
     if case1 is not None:
-        w1, w2 = case1.pairs
-        return [_instantiate(1, 1, w1), _instantiate(1, 1, w2)]
-    if case2 is not None:
-        a, b, c = case2.a, case2.b, case2.c
-        first = _instantiate(2, 1, (a, a + b, a + b + c))
-        state = apply_move(coll, first)
-        moves = [first]
-        # the remainder is two opposite-sign pairs
-        while state:
-            for m in applicable_moves(state):
-                if m.op == 1:
-                    state = apply_move(state, m)
-                    moves.append(m)
-                    break
-            else:
-                return None
-        return moves
-    return None
+        return [_instantiate(1, 1, w) for w in case1.pairs]
+    case2 = verdict.case2_params()
+    if not case2:
+        return None
+    a, b, c = case2[0]
+    pairs = sorted([tuple(sorted((a, b, b + c))), tuple(sorted((b, c, a + b)))])
+    return [_instantiate(2, 1, (a, a + b, a + b + c))] + [
+        _instantiate(1, 1, w) for w in pairs
+    ]
 
 
-def reduce_to_empty(
-    coll: Collection, max_depth: int = 12, strategy: str = "auto"
-):
+def reduce_to_empty(coll: Collection, max_depth: int = 12):
     """Reduce the collection to empty, returning a verified RewriteTrace or
     a ReductionFailure.
 
-    strategy "auto" tries the deterministic 4-point scripts first, then
-    falls back to iterative-deepening search; "search" skips the scripts.
-    A negative max_depth raises ValueError.
+    The closed-form 4-point scripts are tried first, then bounded
+    iterative-deepening search.  A negative max_depth raises ValueError.
     """
-    if strategy not in ("auto", "search"):
-        raise ValueError(f"unknown strategy {strategy!r}")
     if max_depth < 0:
         raise ValueError(f"max_depth must be at least 0, got {max_depth}")
     for c in coll:
@@ -334,14 +303,19 @@ def reduce_to_empty(
     initial = _sorted_classes(coll)
     if not coll:
         return RewriteTrace(initial, (), ())
+    script = _case_script(coll)
+    if script is not None:
+        trace = RewriteTrace(initial, tuple(script), ())
+        trace.replay()
+        return trace
+    return _deepening_search(coll, max_depth)
 
-    if strategy == "auto":
-        script = _case_script(coll)
-        if script is not None:
-            trace = RewriteTrace(initial, tuple(script), ())
-            trace.replay()
-            return trace
 
+def _deepening_search(coll: Collection, max_depth: int):
+    """Iterative deepening from the non-empty canonical collection ``coll``
+    up to ``max_depth`` moves: a verified RewriteTrace or a
+    ReductionFailure."""
+    initial = _sorted_classes(coll)
     explored = 0
     # per call: each state's ((op, orientation, params), child) list, built
     # the first time the state is expanded and reused at every depth

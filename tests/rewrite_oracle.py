@@ -1,13 +1,16 @@
-"""The former move generator and rewriting search, for tests only.
+"""The former move generator, 4-point scripts and rewriting search, for
+tests only.
 
 ``circleact.rewrite`` checks that a move's removed classes are present on
-plain ``(sign, weights)`` tuples before it builds the added classes, and its
-search runs on sorted tuples, computing each state's successors once per
-call.  This module keeps the implementations they replaced: every candidate
-instance is built as a ``RewriteMove`` of canonical ``SignedDatumClass``
-objects and then filtered by presence, and the iterative-deepening search
+plain ``(sign, weights)`` tuples before it builds the added classes, writes
+the 4-point scripts in closed form, and runs its search on sorted tuples,
+computing each state's successors once per call.  This module keeps the
+implementations they replaced: every candidate instance is built as a
+``RewriteMove`` of canonical ``SignedDatumClass`` objects and then filtered
+by presence, a Case-2 script finds its op-1 moves by searching the
+applicable moves after its op-2 move, and the iterative-deepening search
 regenerates the moves of a state each time it expands it.  Tests require
-both routes to return the same moves, traces and failures, down to
+both routes to return the same moves, scripts, traces and failures, down to
 ``states_explored``.
 """
 
@@ -17,19 +20,31 @@ import itertools
 from collections import Counter
 from typing import Optional
 
-from circleact.core import canonicalize
+from circleact.classify import Case1Match, Case2Match, classify_6d4fp
+from circleact.core import FixedPointData, SignedDatumClass, canonicalize, class_to_datum
 from circleact.rewrite import (
     Collection,
     ReductionFailure,
     RewriteMove,
     RewriteTrace,
-    _case_script,
-    _cls,
-    _move,
     _present,
     _sorted_classes,
     apply_move,
 )
+
+
+def _cls(sign: int, weights) -> SignedDatumClass:
+    return canonicalize(SignedDatumClass(sign, tuple(weights)))
+
+
+def _move(op, s, params, removed, added) -> RewriteMove:
+    return RewriteMove(
+        op,
+        s,
+        tuple(params),
+        tuple(sorted(removed, key=lambda c: (c.sign, c.weights))),
+        tuple(sorted(added, key=lambda c: (c.sign, c.weights))),
+    )
 
 
 def instantiate_by_classes(op: int, s: int, params: tuple[int, ...]) -> Optional[RewriteMove]:
@@ -131,13 +146,39 @@ def applicable_moves_by_filtering(coll: Collection) -> list[RewriteMove]:
     return sorted(moves.values(), key=lambda m: (m.op, m.orientation, m.params))
 
 
-def reduce_to_empty_by_regeneration(
-    coll: Collection, max_depth: int = 12, strategy: str = "auto"
-):
-    """Iterative deepening over ``Counter`` states that calls
-    ``applicable_moves_by_filtering`` at every expansion."""
-    if strategy not in ("auto", "search"):
-        raise ValueError(f"unknown strategy {strategy!r}")
+def case_script_by_search(coll: Collection) -> Optional[list[RewriteMove]]:
+    """Deterministic reduction for the two known 4-point shapes: op 1 at
+    each Case-1 pair; for Case 2, op 2 and then the first op-1 move among
+    the applicable moves until nothing is left."""
+    if sum(coll.values()) != 4 or any(c.arity != 3 for c in coll):
+        return None
+    d = FixedPointData(tuple(class_to_datum(c) for c in coll.elements()))
+    verdict = classify_6d4fp(d)
+    case2 = next((m for m in verdict.matches if isinstance(m, Case2Match)), None)
+    case1 = next((m for m in verdict.matches if isinstance(m, Case1Match)), None)
+    if case1 is not None:
+        w1, w2 = case1.pairs
+        return [instantiate_by_classes(1, 1, w1), instantiate_by_classes(1, 1, w2)]
+    if case2 is not None:
+        a, b, c = case2.a, case2.b, case2.c
+        first = instantiate_by_classes(2, 1, (a, a + b, a + b + c))
+        state = apply_move(coll, first)
+        moves = [first]
+        # the remainder is two opposite-sign pairs
+        while state:
+            for m in applicable_moves_by_filtering(state):
+                if m.op == 1:
+                    state = apply_move(state, m)
+                    moves.append(m)
+                    break
+            else:
+                return None
+        return moves
+    return None
+
+
+def reduce_to_empty_by_regeneration(coll: Collection, max_depth: int = 12):
+    """``case_script_by_search``, else ``search_by_regeneration``."""
     for c in coll:
         if c.arity != 3:
             raise ValueError("rewriting is defined for arity-3 classes")
@@ -146,14 +187,18 @@ def reduce_to_empty_by_regeneration(
     initial = _sorted_classes(coll)
     if not coll:
         return RewriteTrace(initial, (), ())
+    script = case_script_by_search(coll)
+    if script is not None:
+        trace = RewriteTrace(initial, tuple(script), ())
+        trace.replay()
+        return trace
+    return search_by_regeneration(coll, max_depth)
 
-    if strategy == "auto":
-        script = _case_script(coll)
-        if script is not None:
-            trace = RewriteTrace(initial, tuple(script), ())
-            trace.replay()
-            return trace
 
+def search_by_regeneration(coll: Collection, max_depth: int = 12):
+    """Iterative deepening over ``Counter`` states that calls
+    ``applicable_moves_by_filtering`` at every expansion."""
+    initial = _sorted_classes(coll)
     explored = 0
 
     def dfs(state: Collection, depth: int, seen: dict) -> Optional[list[RewriteMove]]:

@@ -14,8 +14,10 @@ references the tests compare them against:
 * ``enumerate_admissible_by_matchings`` enumerates all (m-1)!! occurrence
   matchings and deduplicates, the reference for ``enumerate_admissible``;
 * ``congruence_pairing_by_enumeration`` walks every perfect pairing and
-  recomputes each pair's witness, the reference for
-  ``check_congruence_pairing``'s status, witness and detail.
+  recomputes each pair's witness with ``pair_witness_by_enumeration``, the
+  reference for ``check_congruence_pairing``'s status, witness and detail;
+* ``pair_witness_by_enumeration`` tries all m!·2^m (sigma, nu) in order,
+  the reference for the directly built ``constraints._pair_witness``.
 """
 
 from __future__ import annotations
@@ -156,6 +158,29 @@ def _perfect_pairings(indices: list[int]):
             yield [(first, partner)] + sub
 
 
+def pair_witness_by_enumeration(p, q, w: int):
+    """Search for (sigma, nu) making the residue and sign relations hold.
+
+    Both points carry the weight w exactly once; the remaining weights are
+    compared modulo w under a bijection sigma and sign map nu, with
+    eps(p) = eps(q) * (-1)**(nu_minus + 1).
+    """
+    rest_p = list(p.weights)
+    rest_p.remove(w)
+    rest_q = list(q.weights)
+    rest_q.remove(w)
+    m = len(rest_p)
+    for sigma in itertools.permutations(range(m)):
+        for nu in itertools.product((1, -1), repeat=m):
+            if any((rest_p[i] - nu[i] * rest_q[sigma[i]]) % w for i in range(m)):
+                continue
+            nu_minus = sum(1 for v in nu if v == -1)
+            if p.sign != q.sign * (-1) ** (nu_minus + 1):
+                continue
+            return {"sigma": sigma, "nu": nu, "nu_minus": nu_minus}
+    return None
+
+
 def congruence_pairing_by_enumeration(d: FixedPointData, w: int) -> CheckReport:
     """The pairing check over every perfect pairing, in order, recomputing
     each pair's witness inside every pairing."""
@@ -185,7 +210,7 @@ def congruence_pairing_by_enumeration(d: FixedPointData, w: int) -> CheckReport:
     for pairing in _perfect_pairings(carriers):
         assignments = []
         for i, j in pairing:
-            witness = constraints._pair_witness(d.points[i], d.points[j], w)
+            witness = pair_witness_by_enumeration(d.points[i], d.points[j], w)
             if witness is None:
                 break
             assignments.append({"pair": (i, j), **witness})

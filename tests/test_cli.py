@@ -75,6 +75,13 @@ class TestCheck:
         code, _, err = run(capsys, "check", str(p))
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("text", ["+ 1_0 1_0\n- 1_0 10\n", "+ \u0663 3\n- 3 3\n"])
+    def test_non_decimal_weight_exit_2(self, capsys, monkeypatch, text):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run(capsys, "check", "-")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: line 1: non-integer weight")
+
     def test_missing_file_exit_2(self, capsys):
         code, _, _ = run(capsys, "check", "/nonexistent/input.txt")
         assert code == 2

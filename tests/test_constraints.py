@@ -31,7 +31,7 @@ from circleact.constraints import (
 )
 from circleact import constraints
 from conftest import even_data, random_data
-from sweep_oracle import congruence_pairing_by_enumeration
+from sweep_oracle import congruence_pairing_by_enumeration, pair_witness_by_enumeration
 
 CP3_111 = data((1, 1, 2, 3), (-1, 1, 1, 2), (1, 1, 1, 2), (-1, 1, 2, 3))
 PETRIE = data((1, 7, 2, 3), (-1, 7, 2, 3), (1, 5, 2, 3), (-1, 5, 2, 3))
@@ -342,6 +342,69 @@ class TestCongruenceAgainstEnumeration:
             assert _report(check_congruence_pairing(d, 5)) == _report(
                 congruence_pairing_by_enumeration(d, 5)
             ), d
+
+
+class TestPairWitness:
+    """The directly built (sigma, nu) against the walk over all m!·2^m of
+    them (tests/sweep_oracle.py)."""
+
+    @pytest.mark.parametrize("w", range(2, 7))
+    def test_every_small_carrier_pair(self, w):
+        # arity 1-4, the other weights running over the residues 1..w-1
+        for arity in range(1, 5):
+            others = list(itertools.combinations_with_replacement(range(1, w), arity - 1))
+            points = [FixedPointDatum(s, (w, *o)) for s in (-1, 1) for o in others]
+            for p in points:
+                for q in points:
+                    assert constraints._pair_witness(p, q, w) == pair_witness_by_enumeration(
+                        p, q, w
+                    ), (p, q)
+
+    def test_random_pairs_arity_5_and_6(self, rng):
+        found = 0
+        for _ in range(100):
+            w = rng.randint(2, 9)
+            arity = rng.randint(5, 6)
+            others = [
+                rng.choice([x for x in range(1, 2 * w + 1) if x != w])
+                for _ in range(arity - 1)
+            ]
+            p = FixedPointDatum(rng.choice((-1, 1)), (w, *others))
+            # half the time q's residues equal p's up to sign, so that
+            # witnesses exist and the signs and order matter
+            if rng.random() < 0.5:
+                q_others = [x if rng.random() < 0.5 else (-x) % w or x for x in others]
+                rng.shuffle(q_others)
+            else:
+                q_others = [
+                    rng.choice([x for x in range(1, 2 * w + 1) if x != w])
+                    for _ in range(arity - 1)
+                ]
+            q = FixedPointDatum(rng.choice((-1, 1)), (w, *q_others))
+            got = constraints._pair_witness(p, q, w)
+            assert got == pair_witness_by_enumeration(p, q, w), (p, q, w)
+            found += got is not None
+        assert 20 < found < 80
+
+    def test_arity_9_equal_signs_fail(self):
+        # the enumeration tries all 8!·2^8 (sigma, nu) here before failing
+        d = data((1, *range(2, 10), 11), (1, *range(2, 10), 11))
+        r = check_congruence_pairing(d, 11)
+        assert (r.status, r.witness) == (
+            FAIL,
+            "no perfect pairing of points [0, 1] satisfies the mod-11 "
+            "congruences and sign relation",
+        )
+
+    def test_arity_9_opposite_signs_identity(self):
+        d = data((1, *range(2, 10), 11), (-1, *range(2, 10), 11))
+        r = check_congruence_pairing(d, 11)
+        assert r.status == PASS
+        assert r.detail == {
+            "pairing": [
+                {"pair": (0, 1), "sigma": tuple(range(8)), "nu": (1,) * 8, "nu_minus": 0}
+            ]
+        }
 
 
 def _count_calls(name: str, fn) -> int:

@@ -156,6 +156,19 @@ class TestTextFormat:
             parse("+ 1 2\n- 1 2 3")
         assert exc.value.line_no == 2
 
+    @pytest.mark.parametrize(
+        "token", ["1_0", "\u0663", "+3", "2.5", "x", "\u00b2", "-"]
+    )
+    def test_non_decimal_weight_fails_with_line(self, token):
+        # int() would read "1_0" as 10 and the Arabic-Indic digit as 3
+        with pytest.raises(ParseError, match="non-integer weight") as exc:
+            parse(f"+ 1 2 3\n- 1 {token} 3\n")
+        assert exc.value.line_no == 2
+
+    def test_negative_weight_is_not_positive(self):
+        with pytest.raises(ParseError, match="weights must be positive integers"):
+            parse("+ 1 -2 3\n")
+
     def test_comments_and_blanks(self):
         text = "# header\n\n+ 1 2\n  \n- 1 2\n"
         assert parse(text).same_as(data((1, 1, 2), (-1, 1, 2)))

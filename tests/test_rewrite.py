@@ -13,13 +13,20 @@ from circleact.rewrite import (
     ReductionFailure,
     RewriteTrace,
     StaleMoveError,
+    _case_script,
+    _deepening_search,
     applicable_moves,
     apply_move,
     collection_from_classes,
     collection_from_data,
     reduce_to_empty,
 )
-from rewrite_oracle import applicable_moves_by_filtering, reduce_to_empty_by_regeneration
+from rewrite_oracle import (
+    applicable_moves_by_filtering,
+    case_script_by_search,
+    reduce_to_empty_by_regeneration,
+    search_by_regeneration,
+)
 
 
 def cls(sign, *weights):
@@ -136,7 +143,7 @@ class TestReduceToEmpty:
     def test_search_strategy_agrees(self):
         c = collection_from_data(gen_cp3(2, 1, 2))
         auto = reduce_to_empty(c)
-        searched = reduce_to_empty(c, strategy="search")
+        searched = _deepening_search(c, 12)
         assert isinstance(searched, RewriteTrace)
         for t in (auto, searched):
             states = t.replay()
@@ -160,10 +167,6 @@ class TestReduceToEmpty:
         c = Counter({SignedDatumClass(1, (-1, 2, 3)): 1})
         with pytest.raises(ValueError):
             reduce_to_empty(c)
-
-    def test_unknown_strategy(self):
-        with pytest.raises(ValueError):
-            reduce_to_empty(Counter(), strategy="greedy")
 
     def test_eight_point_union(self):
         c = collection_from_data(gen_s6_pair(1, 2, 3, 1, 2, 3)) + collection_from_data(
@@ -241,11 +244,9 @@ class TestAgainstOracle:
             if a + b + c > 8:
                 continue
             coll_ = collection_from_data(gen(a, b, c))
-            got = reduce_to_empty(coll_, strategy="search")
+            got = _deepening_search(coll_, 12)
             assert isinstance(got, RewriteTrace)
-            assert outcome(got) == outcome(
-                reduce_to_empty_by_regeneration(coll_, strategy="search")
-            )
+            assert outcome(got) == outcome(search_by_regeneration(coll_))
 
     @pytest.mark.parametrize(
         "parts",
@@ -266,6 +267,35 @@ class TestAgainstOracle:
         got = reduce_to_empty(coll_)
         assert isinstance(got, RewriteTrace)
         assert outcome(got) == outcome(reduce_to_empty_by_regeneration(coll_))
+
+
+class TestCaseScript:
+    """The closed-form 4-point scripts against the former script, which
+    searched the applicable moves for its op-1 moves
+    (tests/rewrite_oracle.py)."""
+
+    @staticmethod
+    def scripts(d):
+        c = collection_from_data(d)
+        got, want = _case_script(c), case_script_by_search(c)
+        assert want is not None
+        assert [m.to_dict() for m in got] == [m.to_dict() for m in want], d
+        return got
+
+    @pytest.mark.parametrize("gen", [gen_cp3, gen_blowup])
+    def test_template_grid(self, gen):
+        for a, b, c in itertools.product(range(1, 7), repeat=3):
+            assert len(self.scripts(gen(a, b, c))) in (2, 3)
+
+    def test_sphere_pairs(self):
+        for params in itertools.product(range(1, 4), repeat=6):
+            assert [m.op for m in self.scripts(gen_s6_pair(*params))] == [1, 1]
+
+    def test_not_a_known_shape(self):
+        lone = coll((1, 1, 1, 1))
+        four = coll((1, 1, 2, 3), (-1, 1, 2, 3), (1, 1, 1, 1), (1, 1, 1, 1))
+        for c in (lone, four):
+            assert _case_script(c) is None and case_script_by_search(c) is None
 
 
 @st.composite

@@ -15,6 +15,8 @@ from circleact.sweep import (
     sweep,
     to_csv,
 )
+from circleact.rewrite import _case_script, collection_from_data
+from rewrite_oracle import case_script_by_search
 from sweep_oracle import (
     congruence_pairing_by_enumeration,
     enumerate_admissible_by_matchings,
@@ -100,18 +102,32 @@ class TestAgainstFilteringOracle:
         surv = survivors(w4_rows)
         assert len(surv) == 212
         for row in surv:
-            d = parse(
-                "".join(
-                    point.strip("{}").replace(",", " ") + "\n"
-                    for point in row.serialized.split("; ")
-                )
-            )
+            d = _row_data(row)
             assert enumerate_admissible(d) == enumerate_admissible_by_matchings(d)
             for w in sorted({x for p in d.points for x in p.weights}):
                 new, old = check_congruence_pairing(d, w), congruence_pairing_by_enumeration(d, w)
                 assert (new.status, new.witness, new.detail) == (
                     old.status, old.witness, old.detail
                 )
+
+
+    def test_w4_survivor_scripts(self, w4_rows):
+        # every survivor is Case 1 or Case 2, so each has a 4-point script;
+        # the closed form against the script that searched for its op-1 moves
+        for row in survivors(w4_rows):
+            c = collection_from_data(_row_data(row))
+            got, want = _case_script(c), case_script_by_search(c)
+            assert want is not None
+            assert [m.to_dict() for m in got] == [m.to_dict() for m in want], row
+
+
+def _row_data(row) -> FixedPointData:
+    return parse(
+        "".join(
+            point.strip("{}").replace(",", " ") + "\n"
+            for point in row.serialized.split("; ")
+        )
+    )
 
 
 class TestClassifyLabel:
