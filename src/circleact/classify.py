@@ -141,6 +141,28 @@ def cp3_template(a: int, b: int, c: int) -> FixedPointData:
 def classify_6d4fp(d: FixedPointData) -> Classification:
     """Classify 4-point, arity-3 data; reports every matching case.
 
+    The matches come from ``case_matches``. Data matching neither case gets
+    a ``NotInClassification`` whose reason lists the checks it fails.
+    """
+    matches = case_matches(d)
+    if matches:
+        return Classification(tuple(matches))
+
+    reports = constraints.run_all(d)
+    failed = tuple(r.name for r in reports if r.failed)
+    reason = (
+        f"failed checks: {', '.join(failed)}"
+        if failed
+        else "passes all data-level checks but matches neither template "
+        "(component conditions not decidable from data)"
+    )
+    return Classification((NotInClassification(reason, failed),))
+
+
+def case_matches(d: FixedPointData) -> list:
+    """Every Case-1 match of 4-point, arity-3 data, then every Case-2 match,
+    each checked by substituting it back.
+
     Case 1 tries the three ways to pair up the four points. Case 2 is
     decided from the negative points alone (see ``_case2_params``), so the
     cost does not depend on the size of the weights.
@@ -165,21 +187,9 @@ def classify_6d4fp(d: FixedPointData) -> Classification:
                 matches.append(Case1Match((key[0], key[1])))
 
     matches.extend(Case2Match(a, b, c) for a, b, c in _case2_params(d))
-
-    if matches:
-        for m in matches:
-            _assert_substitution(m, d)
-        return Classification(tuple(matches))
-
-    reports = constraints.run_all(d)
-    failed = tuple(r.name for r in reports if r.failed)
-    reason = (
-        f"failed checks: {', '.join(failed)}"
-        if failed
-        else "passes all data-level checks but matches neither template "
-        "(component conditions not decidable from data)"
-    )
-    return Classification((NotInClassification(reason, failed),))
+    for m in matches:
+        _assert_substitution(m, d)
+    return matches
 
 
 def _case2_params(d: FixedPointData) -> list[tuple[int, int, int]]:

@@ -69,17 +69,6 @@ class LabeledMultigraph:
                 out[label] += 1
         return out
 
-    def degree(self, vertex: int) -> int:
-        return sum(self.weights_at(vertex).values())
-
-    def edge_count(self, u: int, v: int) -> int:
-        a, b = min(u, v), max(u, v)
-        return sum(1 for x, y, _ in self.edges if (x, y) == (a, b))
-
-    def labels_between(self, u: int, v: int) -> list[int]:
-        a, b = min(u, v), max(u, v)
-        return sorted(label for x, y, label in self.edges if (x, y) == (a, b))
-
 
 def _built_graph(
     vertices: tuple[tuple[int, int], ...], edges: tuple[Edge, ...]
@@ -261,52 +250,70 @@ class Figure1Case:
         return sorted(out)
 
 
+# For each tag, the template's slot letters between each pair of roles, in
+# order, for the six pairs in itertools.combinations order: (p1, p2),
+# (p1, p3), (p1, p4), (p2, p3), (p2, p4), (p3, p4).
+_ROLE_SLOTS = {
+    tag: tuple(
+        "".join(sorted(s for r1, r2, s in template if (r1, r2) == (i + 1, j + 1)))
+        for i, j in itertools.combinations(range(4), 2)
+    )
+    for tag, template in _TEMPLATES.items()
+}
+
+
 def match_figure1(g: LabeledMultigraph) -> Optional[Figure1Case]:
     """Recognize which of the five 4-vertex shapes the graph realizes.
 
     Requires exactly 4 vertices, two of each sign, 3-regular, no
     self-loops.  Tries the four allowed normalizations (swap the positive
     pair, swap the negative pair) and returns the first matching case, or
-    None when no normalization hits a template pattern."""
+    None when no normalization hits a template pattern.
+
+    One pass over the edges gives each vertex pair's labels and each
+    vertex's degree.  A normalization matches when its edge counts from p1
+    name a pattern and every role pair has as many edges as the pattern's
+    template has slots there; the labels then fill the slots in increasing
+    order.  Every edge joins two of the four roles (a match needs four
+    distinct ones), so the case's template edges are exactly the graph's."""
     if len(g.vertices) != 4:
         raise ValueError("need exactly 4 vertices")
     plus = sorted(v for v, s in g.vertices if s == 1)
     minus = sorted(v for v, s in g.vertices if s == -1)
     if len(plus) != 2 or len(minus) != 2:
         raise ValueError("need two vertices of each sign")
+    between: dict[tuple[int, int], list[int]] = {}
+    degree = {v: 0 for v, _ in g.vertices}
+    for u, v, label in g.edges:  # sorted, so each pair's labels increase
+        between.setdefault((u, v), []).append(label)
+        degree[u] += 1
+        degree[v] += 1
     for v, _ in g.vertices:
-        if g.degree(v) != 3:
+        if degree[v] != 3:
             raise ValueError(f"vertex {v} is not 3-regular")
 
     for p1, p2 in (plus, plus[::-1]):
         for p3, p4 in (minus, minus[::-1]):
             roles = (p1, p2, p3, p4)
-            m2 = g.edge_count(p1, p2)
-            m3 = g.edge_count(p1, p3)
-            m4 = g.edge_count(p1, p4)
-            if m3 < 1 or m3 < m4:
-                continue
-            tag = _PATTERNS.get((m2, m3, m4))
+            found = [
+                between.get((u, v) if u < v else (v, u), ())
+                for u, v in itertools.combinations(roles, 2)
+            ]
+            # found[0:3] join p1 to p2, p3 and p4
+            tag = _PATTERNS.get((len(found[0]), len(found[1]), len(found[2])))
             if tag is None:
                 continue
-            template = _TEMPLATES[tag]
-            wanted = Counter((r1, r2) for r1, r2, _ in template)
-            actual = Counter()
-            for r1 in range(1, 5):
-                for r2 in range(r1 + 1, 5):
-                    c = g.edge_count(roles[r1 - 1], roles[r2 - 1])
-                    if c:
-                        actual[(r1, r2)] = c
-            if wanted != actual:
-                continue
-            labels = {}
-            for (r1, r2), _count in sorted(wanted.items()):
-                slots = sorted(s for a, b, s in template if (a, b) == (r1, r2))
-                values = g.labels_between(roles[r1 - 1], roles[r2 - 1])
-                labels.update(dict(zip(slots, values)))
-            case = Figure1Case(tag, roles, labels)
-            if case.template_edges() == list(g.edges):
-                return case
+            slots = _ROLE_SLOTS[tag]
+            if all(len(labels) == len(s) for labels, s in zip(found, slots)):
+                return Figure1Case(
+                    tag,
+                    roles,
+                    {
+                        slot: label
+                        for labels, s in zip(found, slots)
+                        for slot, label in zip(s, labels)
+                    },
+                )
     return None
 
 

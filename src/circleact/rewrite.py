@@ -27,7 +27,7 @@ from .core import (
     canonicalize,
     class_to_datum,
 )
-from .classify import classify_6d4fp
+from .classify import Case1Match, case_matches
 
 
 class StaleMoveError(ValueError):
@@ -267,19 +267,19 @@ def _case_script(coll: Collection) -> Optional[list[RewriteMove]]:
     """The closed-form reduction of the two known 4-point shapes: op 1 at
     each pair of a Case-1 datum; for the Case-2 template with parameters
     (a, b, c), op 2 at (a, a+b, a+b+c), which leaves the opposite-sign
-    pairs (a, b, b+c) and (b, c, a+b), then op 1 at each of them."""
+    pairs (a, b, b+c) and (b, c, a+b), then op 1 at each of them.  Data of
+    neither shape gets None without running the check suite."""
     if sum(coll.values()) != 4 or any(c.arity != 3 for c in coll):
         return None
-    verdict = classify_6d4fp(
+    matches = case_matches(
         FixedPointData(tuple(class_to_datum(c) for c in coll.elements()))
     )
-    case1 = verdict.case1()
-    if case1 is not None:
-        return [_instantiate(1, 1, w) for w in case1.pairs]
-    case2 = verdict.case2_params()
-    if not case2:
+    if not matches:
         return None
-    a, b, c = case2[0]
+    first = matches[0]  # the first Case-1 match if there is one
+    if isinstance(first, Case1Match):
+        return [_instantiate(1, 1, w) for w in first.pairs]
+    a, b, c = first.a, first.b, first.c
     pairs = sorted([tuple(sorted((a, b, b + c))), tuple(sorted((b, c, a + b)))])
     return [_instantiate(2, 1, (a, a + b, a + b + c))] + [
         _instantiate(1, 1, w) for w in pairs

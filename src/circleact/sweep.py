@@ -26,12 +26,16 @@ A candidate that fails one of these gets its row without being built as a
 ``FixedPointData``.  Only the rest (250 at W = 4) are built and run through
 the signature check, the congruence pairing, the graph tagging and the
 classification.
+
+The walk visits the kinds of each level in the order of their printed
+forms, so the rows come out sorted by text with no sort afterwards (the
+argument is in ``_Walk``), and ``to_csv`` formats each distinct tail of
+the four other fields once.
 """
 
 from __future__ import annotations
 
 import itertools
-from operator import attrgetter
 from typing import Iterator, NamedTuple
 
 from .core import FixedPointData, FixedPointDatum
@@ -128,9 +132,20 @@ _PARITY_FAILED = ("weight_parity",)
 class _Walk:
     """The per-sweep tables of the point kinds and the rows written so far.
 
-    A candidate is a nondecreasing tuple of kind indices; ``descend`` walks
-    them in that order, carrying each prefix's text (with a trailing
-    separator), XOR of parity masks and abbv numerator."""
+    A candidate is a nondecreasing tuple of kind indices, and its row's text
+    joins the kinds' texts in that order with ``; ``.  ``descend`` carries
+    each prefix's text (with a trailing separator), XOR of parity masks and
+    abbv numerator, and at every level visits the indices >= start in the
+    order of the kinds' texts (``after[start]``), so the rows come out
+    sorted by text.
+
+    Why: every kind text ends with ``}`` and has no other ``}``, so no kind
+    text is a prefix of another, and two row texts first differ inside the
+    first pair of kind texts that differ.  The order of the row texts is
+    therefore the lexicographic order of their tuples of kind texts, which
+    is the order of the walk.  That holds whatever the kinds' own order:
+    with two-digit weights the text order ``{+,1,10}`` < ``{+,1,2}`` is not
+    the numeric one, and ``+`` sorts before ``-``."""
 
     def __init__(self, arity: int, max_weight: int):
         self.kinds = point_kinds(arity, max_weight)
@@ -138,24 +153,28 @@ class _Walk:
         self.masks = [parity_mask(p) for p in self.kinds]
         self.terms = constraints.abbv_terms(self.kinds)[1]
         self.half = len(self.kinds) // 2  # kinds below it have sign -1
+        by_text = sorted(range(len(self.texts)), key=self.texts.__getitem__)
+        # after[len(kinds)] is empty: a weight bound below 1 leaves no kinds
+        self.after = [
+            [i for i in by_text if i >= start] for start in range(len(by_text) + 1)
+        ]
         self.rows: list[SweepRow] = []
 
     def descend(
         self, start: int, left: int, text: str, mask: int, num: int, combo: tuple
     ) -> None:
-        """Write the rows of every candidate that extends the prefix combo
-        by left more indices, each at least start."""
+        """Write, in text order, the rows of every candidate that extends the
+        prefix combo by left more indices, each at least start."""
         texts, masks, terms = self.texts, self.masks, self.terms
-        n = len(texts)
         if left > 1:
-            for i in range(start, n):
+            for i in self.after[start]:
                 self.descend(
                     i, left - 1, text + texts[i] + "; ", mask ^ masks[i],
                     num + terms[i], combo + (i,),
                 )
             return
         append = self.rows.append
-        for i in range(start, n):
+        for i in self.after[start]:
             if mask ^ masks[i]:
                 append(SweepRow(text + texts[i], False, _PARITY_FAILED, (), ""))
             else:
@@ -182,15 +201,13 @@ class _Walk:
 
 
 def sweep(points: int = 4, arity: int = 3, max_weight: int = 3) -> list[SweepRow]:
-    """Full oracle run; rows are emitted for every candidate, sorted."""
+    """Full oracle run: a row for every candidate, sorted by text."""
     walk = _Walk(arity, max_weight)
     if points:
         walk.descend(0, points, "", 0, 0, ())
     else:
         walk.rows.append(walk.zero_mask_row((), "", 0))
-    rows = walk.rows
-    rows.sort(key=attrgetter("serialized"))
-    return rows
+    return walk.rows
 
 
 def survivors(rows: list[SweepRow]) -> list[SweepRow]:
@@ -199,15 +216,19 @@ def survivors(rows: list[SweepRow]) -> list[SweepRow]:
 
 
 def to_csv(rows: list[SweepRow]) -> str:
+    """The rows as CSV.  A line is ``"`` + the row's text + its tail, the
+    other four fields; the tail is formatted once per distinct value (at
+    four points, arity 3, W = 4, one tail serves the 106,624 parity rows)."""
+    tails: dict[tuple, str] = {}
     lines = ["data,checks_passed,failed_checks,figure1_tags,classification"]
+    append = lines.append
     for r in rows:
-        lines.append(
-            '"{}",{},{},{},{}'.format(
-                r.serialized,
-                int(r.checks_passed),
-                "|".join(r.failed_checks),
-                "|".join(r.figure1_tags),
-                r.classification,
+        key = r[1:]
+        tail = tails.get(key)
+        if tail is None:
+            ok, failed, tags, classification = key
+            tail = tails[key] = '",{},{},{},{}'.format(
+                int(ok), "|".join(failed), "|".join(tags), classification
             )
-        )
+        append('"' + r[0] + tail)
     return "\n".join(lines) + "\n"

@@ -1,18 +1,25 @@
 """The former generate-and-filter routes, for tests only.
 
 ``circleact.sweep`` decides weight parity and the other cheap checks per
-point kind during its walk and builds as data only the candidates that
-pass them; ``circleact.multigraph`` lists each weight value's distinct
-loop-free pair multisets directly; and ``circleact.constraints`` pairs each
-congruence-pairing carrier with its first witnessed partner, without
-backtracking.  This module keeps the implementations they replaced, as the
-references the tests compare them against:
+point kind during its walk, builds as data only the candidates that pass
+them, writes the rows in text order and formats each CSV tail once;
+``circleact.multigraph`` lists each weight value's distinct loop-free pair
+multisets directly and matches the Figure-1 shapes in one pass over the
+edges; and ``circleact.constraints`` pairs each congruence-pairing carrier
+with its first witnessed partner, without backtracking.  This module keeps
+the implementations they replaced, as the references the tests compare them
+against:
 
-* ``sweep_by_filtering`` builds every candidate as data and runs the whole
-  suite through ``checks_in_full``, the reference for the sweep's per-kind
-  decisions, its rows and its CSV;
+* ``sweep_by_filtering`` builds every candidate as data, runs the whole
+  suite through ``checks_in_full``, tags graphs with ``match_figure1_by_scan``
+  and sorts the rows afterwards, the reference for the sweep's per-kind
+  decisions, its rows and their order;
+* ``csv_by_format`` formats every row's line on its own, the reference for
+  ``to_csv``;
 * ``enumerate_admissible_by_matchings`` enumerates all (m-1)!! occurrence
   matchings and deduplicates, the reference for ``enumerate_admissible``;
+* ``match_figure1_by_scan`` scans the edge list for every degree, edge
+  count and label list it needs, the reference for ``match_figure1``;
 * ``congruence_pairing_by_enumeration`` walks every perfect pairing and
   recomputes each pair's witness with ``pair_witness_by_enumeration``, the
   reference for ``check_congruence_pairing``'s status, witness and detail;
@@ -23,15 +30,19 @@ references the tests compare them against:
 from __future__ import annotations
 
 import itertools
+from collections import Counter
+from typing import Optional
 
 from circleact import constraints
 from circleact.classify import figure1_taggable
 from circleact.constraints import FAIL, INAPPLICABLE, PASS, CheckReport
 from circleact.core import FixedPointData
 from circleact.multigraph import (
+    _PATTERNS,
+    _TEMPLATES,
+    Figure1Case,
     LabeledMultigraph,
     NoMatchingError,
-    match_figure1,
     small_label_values,
 )
 from circleact.sweep import SweepRow, classify_label, enumerate_candidates
@@ -73,7 +84,7 @@ def sweep_by_filtering(points: int, arity: int, max_weight: int) -> list[SweepRo
             if figure1_taggable(d):
                 found = []
                 for g in enumerate_admissible_by_matchings(d):
-                    case = match_figure1(g)
+                    case = match_figure1_by_scan(g)
                     if case is not None:
                         found.append(case.tag)
                 tags = tuple(sorted(set(found)))
@@ -89,6 +100,82 @@ def sweep_by_filtering(points: int, arity: int, max_weight: int) -> list[SweepRo
         )
     rows.sort(key=lambda r: r.serialized)
     return rows
+
+
+def csv_by_format(rows: list[SweepRow]) -> str:
+    """Every row's line formatted on its own."""
+    lines = ["data,checks_passed,failed_checks,figure1_tags,classification"]
+    for r in rows:
+        lines.append(
+            '"{}",{},{},{},{}'.format(
+                r.serialized,
+                int(r.checks_passed),
+                "|".join(r.failed_checks),
+                "|".join(r.figure1_tags),
+                r.classification,
+            )
+        )
+    return "\n".join(lines) + "\n"
+
+
+def _degree(g: LabeledMultigraph, vertex: int) -> int:
+    return sum(g.weights_at(vertex).values())
+
+
+def _edge_count(g: LabeledMultigraph, u: int, v: int) -> int:
+    a, b = min(u, v), max(u, v)
+    return sum(1 for x, y, _ in g.edges if (x, y) == (a, b))
+
+
+def _labels_between(g: LabeledMultigraph, u: int, v: int) -> list[int]:
+    a, b = min(u, v), max(u, v)
+    return sorted(label for x, y, label in g.edges if (x, y) == (a, b))
+
+
+def match_figure1_by_scan(g: LabeledMultigraph) -> Optional[Figure1Case]:
+    """Each normalization's edge counts and labels found by scanning the
+    edge list, and a candidate case kept only when its template edges give
+    back the graph's."""
+    if len(g.vertices) != 4:
+        raise ValueError("need exactly 4 vertices")
+    plus = sorted(v for v, s in g.vertices if s == 1)
+    minus = sorted(v for v, s in g.vertices if s == -1)
+    if len(plus) != 2 or len(minus) != 2:
+        raise ValueError("need two vertices of each sign")
+    for v, _ in g.vertices:
+        if _degree(g, v) != 3:
+            raise ValueError(f"vertex {v} is not 3-regular")
+
+    for p1, p2 in (plus, plus[::-1]):
+        for p3, p4 in (minus, minus[::-1]):
+            roles = (p1, p2, p3, p4)
+            m2 = _edge_count(g, p1, p2)
+            m3 = _edge_count(g, p1, p3)
+            m4 = _edge_count(g, p1, p4)
+            if m3 < 1 or m3 < m4:
+                continue
+            tag = _PATTERNS.get((m2, m3, m4))
+            if tag is None:
+                continue
+            template = _TEMPLATES[tag]
+            wanted = Counter((r1, r2) for r1, r2, _ in template)
+            actual = Counter()
+            for r1 in range(1, 5):
+                for r2 in range(r1 + 1, 5):
+                    c = _edge_count(g, roles[r1 - 1], roles[r2 - 1])
+                    if c:
+                        actual[(r1, r2)] = c
+            if wanted != actual:
+                continue
+            labels = {}
+            for (r1, r2), _count in sorted(wanted.items()):
+                slots = sorted(s for a, b, s in template if (a, b) == (r1, r2))
+                values = _labels_between(g, roles[r1 - 1], roles[r2 - 1])
+                labels.update(dict(zip(slots, values)))
+            case = Figure1Case(tag, roles, labels)
+            if case.template_edges() == list(g.edges):
+                return case
+    return None
 
 
 def _matchings(occurrences: list[int]):

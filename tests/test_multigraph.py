@@ -1,8 +1,10 @@
+import itertools
 import math
 from collections import Counter
 
 import pytest
 
+from circleact.classify import figure1_taggable
 from circleact.core import FixedPointData, data, disjoint_union
 from circleact.generators import gen_blowup, gen_cp3, gen_s6, gen_s6_pair
 from circleact.multigraph import (
@@ -15,7 +17,8 @@ from circleact.multigraph import (
     serialize_graph,
 )
 from conftest import even_data, random_data
-from sweep_oracle import enumerate_admissible_by_matchings
+from circleact.sweep import enumerate_candidates
+from sweep_oracle import enumerate_admissible_by_matchings, match_figure1_by_scan
 
 CP3_123 = gen_cp3(1, 2, 3)  # {+,1,3,6},{-,1,2,5},{+,2,3,3},{-,3,5,6}
 CP3_123_GRAPH = LabeledMultigraph(
@@ -263,8 +266,6 @@ class TestMatchFigure1:
             match_figure1(g)
 
     def test_generator_coverage(self):
-        import itertools
-
         for params in itertools.product(range(1, 3), repeat=6):
             d = gen_s6_pair(*params)
             tags = {
@@ -273,3 +274,90 @@ class TestMatchFigure1:
                 if case is not None
             }
             assert tags and tags <= {"A", "B", "C", "D", "E"}
+
+
+def _case_or_error(match, g):
+    try:
+        case = match(g)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+    if case is None:
+        return None
+    # the labels' order too: it is the order they print in
+    return case.tag, case.vertex_map, list(case.labels.items())
+
+
+def _relabeled(g, new_ids):
+    return LabeledMultigraph(
+        tuple((new_ids[v], s) for v, s in g.vertices),
+        tuple(
+            (min(new_ids[u], new_ids[v]), max(new_ids[u], new_ids[v]), label)
+            for u, v, label in g.edges
+        ),
+    )
+
+
+class TestMatchFigure1AgainstScan:
+    """The one-pass shape matcher against the one that scans the edge list
+    for each count and label list (tests/sweep_oracle.py)."""
+
+    def test_admissible_graphs_at_w3(self):
+        # every admissible graph of every taggable candidate with weights
+        # <= 3 (437 graphs), as enumerated and under one relabeling each;
+        # the relabelings cycle through all 24 orders of four spread-out ids
+        orders = list(itertools.permutations((2, 5, 7, 11)))
+        graphs = []
+        for d in enumerate_candidates(4, 3, 3):
+            if figure1_taggable(d):
+                try:
+                    graphs += enumerate_admissible(d)
+                except NoMatchingError:
+                    pass
+        assert len(graphs) == 437
+        for i, g in enumerate(graphs):
+            for h in (g, _relabeled(g, orders[i % len(orders)])):
+                got = _case_or_error(match_figure1, h)
+                assert got is not None and got == _case_or_error(match_figure1_by_scan, h), h
+
+    def test_every_cubic_graph_and_sign_pattern(self):
+        # the 3-regular loop-free multigraphs on four vertices pair opposite
+        # vertex pairs equally often: a + b + c = 3 edges at 01/23, 02/13 and
+        # 03/12; with every choice of the two positive vertices this reaches
+        # the patterns no template has, which match nothing
+        results = set()
+        for a in range(4):
+            for b in range(4 - a):
+                c = 3 - a - b
+                pairs = [(0, 1), (2, 3)] * a + [(0, 2), (1, 3)] * b + [(0, 3), (1, 2)] * c
+                edges = tuple((u, v, label) for label, (u, v) in enumerate(pairs, 1))
+                for positive in itertools.combinations(range(4), 2):
+                    vertices = tuple((v, 1 if v in positive else -1) for v in range(4))
+                    g = LabeledMultigraph(vertices, edges)
+                    got = _case_or_error(match_figure1, g)
+                    assert got == _case_or_error(match_figure1_by_scan, g), g
+                    results.add(None if got is None else got[0])
+        assert results == {None, "A", "B", "C", "D", "E"}
+
+    @pytest.mark.parametrize(
+        "vertices, edges, message",
+        [
+            (((0, 1), (1, -1), (2, 1)), ((0, 1, 1), (1, 2, 1)), "need exactly 4 vertices"),
+            (
+                ((0, 1), (1, 1), (2, 1), (3, -1)),
+                ((0, 3, 1), (1, 3, 1), (2, 3, 1)),
+                "need two vertices of each sign",
+            ),
+            (
+                ((3, -1), (0, 1), (2, 1), (1, -1)),
+                # vertices 1 and 3 both fail; the first listed is named
+                ((0, 1, 1), (0, 1, 2), (0, 3, 3), (2, 3, 1), (1, 2, 2), (1, 2, 3)),
+                "vertex 3 is not 3-regular",
+            ),
+        ],
+    )
+    def test_errors(self, vertices, edges, message):
+        g = LabeledMultigraph(vertices, edges)
+        for match in (match_figure1, match_figure1_by_scan):
+            with pytest.raises(ValueError) as info:
+                match(g)
+            assert str(info.value) == message

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circleact import constraints
 from circleact.core import FixedPointData, SignedDatumClass, canonicalize, disjoint_union
 from circleact.generators import gen_blowup, gen_cp3, gen_s6, gen_s6_pair
 from circleact.rewrite import (
@@ -296,6 +297,17 @@ class TestCaseScript:
         four = coll((1, 1, 2, 3), (-1, 1, 2, 3), (1, 1, 1, 1), (1, 1, 1, 1))
         for c in (lone, four):
             assert _case_script(c) is None and case_script_by_search(c) is None
+
+    def test_no_check_suite_for_other_data(self, monkeypatch):
+        # matching neither case is decided without the check suite, which
+        # classify_6d4fp runs only to explain its verdict
+        c = coll((1, 1, 2, 3), (1, 1, 2, 3), (-1, 1, 1, 1), (-1, 2, 2, 2))
+
+        def refuse(d):
+            raise AssertionError("run_all called")
+
+        monkeypatch.setattr(constraints, "run_all", refuse)
+        assert _case_script(c) is None
 
 
 @st.composite

@@ -19,6 +19,7 @@ from circleact.rewrite import _case_script, collection_from_data
 from rewrite_oracle import case_script_by_search
 from sweep_oracle import (
     congruence_pairing_by_enumeration,
+    csv_by_format,
     enumerate_admissible_by_matchings,
     sweep_by_filtering,
 )
@@ -79,9 +80,22 @@ class TestAgainstFilteringOracle:
         if points == 5:
             shapes = [(arity, w) for arity, w in shapes if arity <= 2]
         for arity, max_weight in shapes:
-            assert to_csv(sweep(points, arity, max_weight)) == to_csv(
+            assert to_csv(sweep(points, arity, max_weight)) == csv_by_format(
                 sweep_by_filtering(points, arity, max_weight)
             ), (points, arity, max_weight)
+
+    @pytest.mark.parametrize(
+        "points, arity, max_weight",
+        [(2, 1, 11), (2, 1, 12), (2, 2, 11), (2, 2, 12), (3, 1, 12)],
+    )
+    def test_two_digit_weights_come_out_sorted(self, points, arity, max_weight):
+        # with two-digit weights the text order of the kinds is not their
+        # numeric order ({+,1,10} < {+,1,2}), and + sorts before -
+        rows = sweep(points, arity, max_weight)
+        assert rows == sorted(rows, key=lambda r: r.serialized)
+        assert to_csv(rows) == csv_by_format(
+            sweep_by_filtering(points, arity, max_weight)
+        )
 
     def test_w4_digest(self, w4_rows):
         assert len(w4_rows) == 123410
