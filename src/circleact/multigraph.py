@@ -274,8 +274,9 @@ def match_figure1(g: LabeledMultigraph) -> Optional[Figure1Case]:
     vertex's degree.  A normalization matches when its edge counts from p1
     name a pattern and every role pair has as many edges as the pattern's
     template has slots there; the labels then fill the slots in increasing
-    order.  Every edge joins two of the four roles (a match needs four
-    distinct ones), so the case's template edges are exactly the graph's."""
+    order, so the case's template edges are the graph's.  (On four distinct
+    3-regular vertices the counts from p1 already fix the rest; the full
+    comparison matters when a vertex list repeats an id.)"""
     if len(g.vertices) != 4:
         raise ValueError("need exactly 4 vertices")
     plus = sorted(v for v, s in g.vertices if s == 1)

@@ -339,6 +339,21 @@ class TestMatchFigure1AgainstScan:
         assert results == {None, "A", "B", "C", "D", "E"}
 
     @pytest.mark.parametrize(
+        "vertices",
+        [
+            ((0, 1), (0, 1), (1, -1), (1, -1)),
+            ((0, 1), (1, 1), (0, -1), (1, -1)),
+            # normalized as (0, 0, 1, 0), p1 has pattern A's counts
+            ((0, 1), (0, 1), (0, -1), (1, -1)),
+        ],
+    )
+    def test_repeated_vertex_ids(self, vertices):
+        # the constructor allows a repeated id; its degree is counted once
+        g = LabeledMultigraph(vertices, ((0, 1, 1), (0, 1, 2), (0, 1, 3)))
+        assert _case_or_error(match_figure1, g) is None
+        assert _case_or_error(match_figure1_by_scan, g) is None
+
+    @pytest.mark.parametrize(
         "vertices, edges, message",
         [
             (((0, 1), (1, -1), (2, 1)), ((0, 1, 1), (1, 2, 1)), "need exactly 4 vertices"),
