@@ -8,8 +8,6 @@ that reduces realizable data to the empty collection.
 from .core import (
     FixedPointData,
     FixedPointDatum,
-    SignedDatumClass,
-    canonicalize,
     data,
     disjoint_union,
     from_complex_weights,
@@ -46,13 +44,11 @@ __version__ = "0.1.0"
 __all__ = [
     "FixedPointData",
     "FixedPointDatum",
-    "SignedDatumClass",
     "LabeledMultigraph",
     "TruncatedSeries",
     "abbv_integral_one",
     "applicable_moves",
     "apply_move",
-    "canonicalize",
     "classify_6d4fp",
     "classify_two_fixed_points",
     "collection_from_data",

@@ -14,7 +14,13 @@ import sys
 from . import constraints, core, rewrite, sweep
 from .classify import classify, figure1_taggable
 from .generators import GENERATORS
-from .multigraph import NoMatchingError, enumerate_admissible, match_figure1, serialize_graph
+from .multigraph import (
+    GraphCapError,
+    NoMatchingError,
+    enumerate_admissible,
+    match_figure1,
+    serialize_graph,
+)
 from .rewrite import ReductionFailure, collection_from_data, reduce_to_empty
 from .series import check_order, signature_series
 
@@ -75,6 +81,9 @@ def cmd_graphs(args) -> int:
         graphs = enumerate_admissible(d)
     except NoMatchingError as exc:
         print(f"weight parity fails: {exc}", file=sys.stderr)
+        return FAIL_EXIT
+    except GraphCapError as exc:
+        print(exc, file=sys.stderr)
         return FAIL_EXIT
     taggable = figure1_taggable(d)
     if args.json and graphs:
@@ -137,9 +146,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    if args.family not in GENERATORS:
-        print(f"error: unknown family {args.family!r}", file=sys.stderr)
-        return ERROR_EXIT
+    # argparse's choices refuse an unknown family with exit 2
     fn, n_params = GENERATORS[args.family]
     if len(args.params) != n_params:
         print(

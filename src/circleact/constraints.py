@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .core import FixedPointData, FixedPointDatum
-from .series import signature_exact, signature_value
+from .series import signature_exact
 
 PASS = "pass"
 FAIL = "fail"
@@ -321,9 +321,10 @@ def check_congruence_pairing(d: FixedPointData, w: int) -> CheckReport:
 
 
 def check_signature_constant(d: FixedPointData) -> CheckReport:
-    """The signature sum must be constant in t and equal sum_p eps(p);
-    in dimension 6 (indeed whenever 4 does not divide the dimension) the
-    constant must additionally vanish."""
+    """The signature sum must be constant in t; in dimension 6 (indeed
+    whenever 4 does not divide the dimension) the constant must vanish.
+    Every factor (1+t^w)/(1-t^w) is 1 at t=0, so a constant sum equals
+    sum_p eps(p) by construction."""
     if not d.points:
         return CheckReport("signature_constant", INAPPLICABLE, "empty data")
     result = signature_exact(d)
@@ -334,14 +335,6 @@ def check_signature_constant(d: FixedPointData) -> CheckReport:
             f"signature sum is not constant; first deviation at degree "
             f"{result.witness_degree}",
             {"witness_degree": result.witness_degree},
-        )
-    expected = signature_value(d)
-    if result.constant != expected:
-        return CheckReport(
-            "signature_constant",
-            FAIL,
-            f"constant {result.constant} != sum of signs {expected}",
-            {"constant": result.constant},
         )
     if d.arity % 2 == 1 and result.constant != 0:
         return CheckReport(

@@ -2,9 +2,11 @@
 
 A fixed point of a circle action on a compact oriented 2n-manifold carries a
 sign in {-1,+1} and a multiset of n positive integer weights.  This module
-holds the immutable value types, the signed equivalence classes used by the
-rewriting system, parsing/serialization, and the basic constructions
-(disjoint union, orientation reversal, complex-to-real conversion).
+holds the immutable value types, parsing/serialization, and the basic
+constructions (disjoint union, orientation reversal, complex-to-real
+conversion).  A signed class of the rewriting system, a signed weight tuple
+modulo flipping one weight and the sign together, is held as its canonical
+representative: the ``FixedPointDatum`` of ``canonical_form``.
 """
 
 from __future__ import annotations
@@ -60,35 +62,6 @@ class FixedPointDatum:
         return "{%s,%s}" % (s, ",".join(str(w) for w in self.weights))
 
 
-@dataclass(frozen=True)
-class SignedDatumClass:
-    """Signed weight tuple modulo flipping one weight and the sign together.
-
-    The canonical representative has all weights positive, with the sign
-    multiplied by (-1)**(number of negated entries).
-    """
-
-    sign: int
-    weights: tuple[int, ...]
-
-    def __post_init__(self):
-        _check_sign(self.sign)
-        if not self.weights:
-            raise ValueError("a class needs at least one weight")
-        for w in self.weights:
-            if w == 0:
-                raise InvalidWeightError("zero weight in signed class")
-        object.__setattr__(self, "weights", tuple(self.weights))
-
-    @property
-    def arity(self) -> int:
-        return len(self.weights)
-
-    def __str__(self) -> str:
-        s = "+" if self.sign == 1 else "-"
-        return "[%s,%s]" % (s, ",".join(str(w) for w in self.weights))
-
-
 def canonical_form(sign: int, weights: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     """The canonical ``(sign, weights)`` of a signed weight tuple: weights
     made positive and sorted, the sign flipped once per negative entry."""
@@ -96,20 +69,6 @@ def canonical_form(sign: int, weights: Sequence[int]) -> tuple[int, tuple[int, .
         if w < 0:
             sign = -sign
     return sign, tuple(sorted(map(abs, weights)))
-
-
-def canonicalize(cls: SignedDatumClass) -> SignedDatumClass:
-    """Canonical representative: all weights positive, sign adjusted."""
-    return SignedDatumClass(*canonical_form(cls.sign, cls.weights))
-
-
-def class_to_datum(cls: SignedDatumClass) -> FixedPointDatum:
-    c = canonicalize(cls)
-    return FixedPointDatum(c.sign, c.weights)
-
-
-def datum_to_class(d: FixedPointDatum) -> SignedDatumClass:
-    return SignedDatumClass(d.sign, d.weights)
 
 
 def from_complex_weights(weights: Iterable[int]) -> FixedPointDatum:
@@ -195,6 +154,12 @@ def reverse_orientation(d: FixedPointData) -> FixedPointData:
 # lines beginning with '#' are comments, blank lines are ignored.
 # JSON mirror: {"points":[{"sign":1,"weights":[7,2,3]}, ...]}.
 
+def is_decimal(token: str) -> bool:
+    """An optionally negative ASCII decimal integer; int() alone would also
+    read "1_0", "+3" and non-ASCII digits."""
+    return token.isascii() and token.removeprefix("-").isdigit()
+
+
 def parse(text: str) -> FixedPointData:
     points = []
     arity = None
@@ -208,8 +173,7 @@ def parse(text: str) -> FixedPointData:
         sign = 1 if tokens[0] == "+" else -1
         if len(tokens) < 2:
             raise ParseError(line_no, "no weights on line")
-        # int() alone would also read "1_0", "+3" and non-ASCII digits
-        if not all(t.isascii() and t.removeprefix("-").isdigit() for t in tokens[1:]):
+        if not all(map(is_decimal, tokens[1:])):
             raise ParseError(line_no, f"non-integer weight in {tokens[1:]}")
         weights = tuple(int(t) for t in tokens[1:])
         if any(w < 1 for w in weights):

@@ -22,12 +22,16 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import FixedPointData
+from .core import FixedPointData, ParseError, is_decimal
 from .constraints import check_weight_parity, signed_weight_lists
 
 
 class NoMatchingError(ValueError):
     """The data cannot support any edge matching (weight parity fails)."""
+
+
+class GraphCapError(ValueError):
+    """The data have more admissible graphs than the enumeration's cap."""
 
 
 Edge = tuple[int, int, int]  # (u, v, label) with u < v
@@ -177,7 +181,7 @@ def enumerate_admissible(
 
     Each value's distinct pair multisets are listed directly, so every
     combination of them is a distinct graph; more than ``cap`` graphs raise
-    NoMatchingError."""
+    GraphCapError."""
     parity = check_weight_parity(d)
     if parity.failed:
         raise NoMatchingError(parity.witness)
@@ -207,7 +211,7 @@ def enumerate_admissible(
     for combo in itertools.product(*edge_options):
         graphs.append(_built_graph(vertices, tuple(sorted(sum(combo, ())))))
         if len(graphs) > cap:
-            raise NoMatchingError(f"admissible graph cap {cap} exceeded")
+            raise GraphCapError(f"admissible graph cap {cap} exceeded")
     graphs.sort(key=lambda g: g.edges)
     return graphs
 
@@ -327,16 +331,26 @@ def serialize_graph(g: LabeledMultigraph) -> str:
 
 
 def parse_graph(text: str) -> LabeledMultigraph:
+    """Read the ``serialize_graph`` format; a malformed line raises a
+    ParseError that names its 1-based line number."""
     vertices = []
     edges = []
-    for raw in text.splitlines():
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         tokens = line.split()
         if tokens[0] == "vertex":
+            if (
+                len(tokens) != 3
+                or not is_decimal(tokens[1])
+                or tokens[2] not in ("+", "-")
+            ):
+                raise ParseError(line_no, f"expected 'vertex <id> <+|->', got {line!r}")
             vertices.append((int(tokens[1]), 1 if tokens[2] == "+" else -1))
         else:
-            u, v, label = (int(t) for t in tokens)
+            if len(tokens) != 3 or not all(map(is_decimal, tokens)):
+                raise ParseError(line_no, f"expected '<u> <v> <label>', got {line!r}")
+            u, v, label = map(int, tokens)
             edges.append((min(u, v), max(u, v), label))
     return LabeledMultigraph(tuple(vertices), tuple(edges))

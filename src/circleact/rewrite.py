@@ -1,7 +1,11 @@
 """Rewriting system on collections of signed equivalence classes.
 
 Five operations remove and add arity-3 classes; a realizable collection can
-always be converted to the empty collection.  This module enumerates
+always be converted to the empty collection.  A class is held as its
+canonical representative, a ``FixedPointDatum`` (positive sorted weights,
+sign flipped once per negated weight), so a collection is a
+``Counter[FixedPointDatum]``; moves print a class in the system's bracket
+notation ``[+,1,2,3]``.  This module enumerates
 applicable operation instances from one move table, checking that the
 removed classes are present on plain (sign, weights) tuples before building
 the added ones, applies them with multiset semantics, and searches for a
@@ -18,15 +22,9 @@ import itertools
 import json
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
-from .core import (
-    FixedPointData,
-    SignedDatumClass,
-    canonical_form,
-    canonicalize,
-    class_to_datum,
-)
+from .core import FixedPointData, FixedPointDatum, canonical_form
 from .classify import Case1Match, case_matches
 
 
@@ -34,17 +32,16 @@ class StaleMoveError(ValueError):
     """The move's removed classes are not present in the collection."""
 
 
-Collection = Counter  # Counter[SignedDatumClass], canonical representatives
+Collection = Counter  # Counter[FixedPointDatum]
 
 
 def collection_from_data(d: FixedPointData) -> Collection:
-    return Counter(
-        canonicalize(SignedDatumClass(p.sign, p.weights)) for p in d.points
-    )
+    return Counter(d.points)
 
 
-def collection_from_classes(classes: Iterable[SignedDatumClass]) -> Collection:
-    return Counter(canonicalize(c) for c in classes)
+def _bracket(c: FixedPointDatum) -> str:
+    """A class in the rewriting system's notation, e.g. ``[+,1,2,3]``."""
+    return "[%s,%s]" % ("+" if c.sign == 1 else "-", ",".join(map(str, c.weights)))
 
 
 @dataclass(frozen=True)
@@ -52,21 +49,21 @@ class RewriteMove:
     op: int
     orientation: int  # +1 / -1, the sign chosen for the +- branch
     params: tuple[int, ...]  # (A, B, C) or (A, C) etc., op-specific
-    removed: tuple[SignedDatumClass, ...]
-    added: tuple[SignedDatumClass, ...]
+    removed: tuple[FixedPointDatum, ...]
+    added: tuple[FixedPointDatum, ...]
 
     def to_dict(self) -> dict:
         return {
             "op": self.op,
             "orientation": self.orientation,
             "params": list(self.params),
-            "removed": [str(c) for c in self.removed],
-            "added": [str(c) for c in self.added],
+            "removed": [_bracket(c) for c in self.removed],
+            "added": [_bracket(c) for c in self.added],
         }
 
     def __str__(self) -> str:
-        removed = ", ".join(str(c) for c in self.removed)
-        added = ", ".join(str(c) for c in self.added) or "(nothing)"
+        removed = ", ".join(map(_bracket, self.removed))
+        added = ", ".join(map(_bracket, self.added)) or "(nothing)"
         return f"op({self.op}) params={self.params}: remove {removed}; add {added}"
 
 
@@ -132,8 +129,8 @@ def _sorted_canonical(pairs) -> list:
 def _build(key: tuple, removed, added) -> RewriteMove:
     """The move of ``key = (op, orientation, params)`` from its sorted
     canonical (sign, weights) pairs."""
-    removed = tuple(SignedDatumClass(*c) for c in removed)
-    return RewriteMove(*key, removed, tuple(SignedDatumClass(*c) for c in added))
+    removed = tuple(FixedPointDatum(*c) for c in removed)
+    return RewriteMove(*key, removed, tuple(FixedPointDatum(*c) for c in added))
 
 
 def _instantiate(op: int, s: int, params: tuple[int, ...]) -> RewriteMove:
@@ -225,18 +222,17 @@ def apply_move(coll: Collection, move: RewriteMove) -> Collection:
 
 @dataclass(frozen=True)
 class RewriteTrace:
-    initial: tuple[SignedDatumClass, ...]
+    initial: tuple[FixedPointDatum, ...]
     moves: tuple[RewriteMove, ...]
-    final: tuple[SignedDatumClass, ...]
 
     def replay(self) -> list[Collection]:
         """Intermediate collections, starting at initial; raises on any
-        inconsistency."""
+        inconsistency, including a last state that is not empty."""
         states = [Counter(self.initial)]
         for move in self.moves:
             states.append(apply_move(states[-1], move))
-        if states[-1] != Counter(self.final):
-            raise AssertionError("trace replay does not reach the final state")
+        if states[-1]:
+            raise AssertionError("trace replay does not reach the empty collection")
         return states
 
     def to_json_lines(self) -> str:
@@ -259,7 +255,7 @@ class ReductionFailure:
         }
 
 
-def _sorted_classes(coll: Collection) -> tuple[SignedDatumClass, ...]:
+def _sorted_classes(coll: Collection) -> tuple[FixedPointDatum, ...]:
     return tuple(sorted(coll.elements(), key=lambda c: (c.sign, c.weights)))
 
 
@@ -271,9 +267,7 @@ def _case_script(coll: Collection) -> Optional[list[RewriteMove]]:
     neither shape gets None without running the check suite."""
     if sum(coll.values()) != 4 or any(c.arity != 3 for c in coll):
         return None
-    matches = case_matches(
-        FixedPointData(tuple(class_to_datum(c) for c in coll.elements()))
-    )
+    matches = case_matches(FixedPointData(tuple(coll.elements())))
     if not matches:
         return None
     first = matches[0]  # the first Case-1 match if there is one
@@ -298,14 +292,12 @@ def reduce_to_empty(coll: Collection, max_depth: int = 12):
     for c in coll:
         if c.arity != 3:
             raise ValueError("rewriting is defined for arity-3 classes")
-        if canonicalize(c) != c:
-            raise ValueError(f"collection must be canonical, got {c}")
     initial = _sorted_classes(coll)
     if not coll:
-        return RewriteTrace(initial, (), ())
+        return RewriteTrace(initial, ())
     script = _case_script(coll)
     if script is not None:
-        trace = RewriteTrace(initial, tuple(script), ())
+        trace = RewriteTrace(initial, tuple(script))
         trace.replay()
         return trace
     return _deepening_search(coll, max_depth)
@@ -357,7 +349,7 @@ def _deepening_search(coll: Collection, max_depth: int):
         result = dfs(start, depth, {})
         if result is not None:
             moves = tuple(_instantiate(*key) for key in result)
-            trace = RewriteTrace(initial, moves, ())
+            trace = RewriteTrace(initial, moves)
             trace.replay()
             return trace
     return ReductionFailure(

@@ -15,6 +15,7 @@ import sys
 from circleact.classify import figure1_taggable
 from circleact.cli import FAIL_EXIT, PASS_EXIT, _emit, _read_input
 from circleact.multigraph import (
+    GraphCapError,
     NoMatchingError,
     enumerate_admissible,
     match_figure1,
@@ -28,6 +29,9 @@ def cmd_graphs_by_dumps(args) -> int:
         graphs = enumerate_admissible(d)
     except NoMatchingError as exc:
         print(f"weight parity fails: {exc}", file=sys.stderr)
+        return FAIL_EXIT
+    except GraphCapError as exc:
+        print(exc, file=sys.stderr)
         return FAIL_EXIT
     taggable = figure1_taggable(d)
     for i, g in enumerate(graphs):

@@ -6,7 +6,7 @@ plain ``(sign, weights)`` tuples before it builds the added classes, writes
 the 4-point scripts in closed form, and runs its search on sorted tuples,
 computing each state's successors once per call.  This module keeps the
 implementations they replaced: every candidate instance is built as a
-``RewriteMove`` of canonical ``SignedDatumClass`` objects and then filtered
+``RewriteMove`` of canonical ``FixedPointDatum`` classes and then filtered
 by presence, a Case-2 script finds its op-1 moves by searching the
 applicable moves after its op-2 move, and the iterative-deepening search
 regenerates the moves of a state each time it expands it.  Tests require
@@ -21,7 +21,7 @@ from collections import Counter
 from typing import Optional
 
 from circleact.classify import Case1Match, Case2Match, classify_6d4fp
-from circleact.core import FixedPointData, SignedDatumClass, canonicalize, class_to_datum
+from circleact.core import FixedPointData, FixedPointDatum, canonical_form
 from circleact.rewrite import (
     Collection,
     ReductionFailure,
@@ -33,8 +33,8 @@ from circleact.rewrite import (
 )
 
 
-def _cls(sign: int, weights) -> SignedDatumClass:
-    return canonicalize(SignedDatumClass(sign, tuple(weights)))
+def _cls(sign: int, weights) -> FixedPointDatum:
+    return FixedPointDatum(*canonical_form(sign, weights))
 
 
 def _move(op, s, params, removed, added) -> RewriteMove:
@@ -152,7 +152,7 @@ def case_script_by_search(coll: Collection) -> Optional[list[RewriteMove]]:
     the applicable moves until nothing is left."""
     if sum(coll.values()) != 4 or any(c.arity != 3 for c in coll):
         return None
-    d = FixedPointData(tuple(class_to_datum(c) for c in coll.elements()))
+    d = FixedPointData(tuple(coll.elements()))
     verdict = classify_6d4fp(d)
     case2 = next((m for m in verdict.matches if isinstance(m, Case2Match)), None)
     case1 = next((m for m in verdict.matches if isinstance(m, Case1Match)), None)
@@ -182,14 +182,12 @@ def reduce_to_empty_by_regeneration(coll: Collection, max_depth: int = 12):
     for c in coll:
         if c.arity != 3:
             raise ValueError("rewriting is defined for arity-3 classes")
-        if canonicalize(c) != c:
-            raise ValueError(f"collection must be canonical, got {c}")
     initial = _sorted_classes(coll)
     if not coll:
-        return RewriteTrace(initial, (), ())
+        return RewriteTrace(initial, ())
     script = case_script_by_search(coll)
     if script is not None:
-        trace = RewriteTrace(initial, tuple(script), ())
+        trace = RewriteTrace(initial, tuple(script))
         trace.replay()
         return trace
     return search_by_regeneration(coll, max_depth)
@@ -221,7 +219,7 @@ def search_by_regeneration(coll: Collection, max_depth: int = 12):
     for depth in range(1, max_depth + 1):
         result = dfs(Counter(coll), depth, {})
         if result is not None:
-            trace = RewriteTrace(initial, tuple(result), ())
+            trace = RewriteTrace(initial, tuple(result))
             trace.replay()
             return trace
     return ReductionFailure(

@@ -41,6 +41,7 @@ from circleact.multigraph import (
     _PATTERNS,
     _TEMPLATES,
     Figure1Case,
+    GraphCapError,
     LabeledMultigraph,
     NoMatchingError,
     small_label_values,
@@ -230,7 +231,7 @@ def enumerate_admissible_by_matchings(
             edges.extend((u, v, value) for u, v in matching)
         graphs.append(LabeledMultigraph(vertices, tuple(edges)))
         if len(graphs) > cap:
-            raise NoMatchingError(f"admissible graph cap {cap} exceeded")
+            raise GraphCapError(f"admissible graph cap {cap} exceeded")
     return sorted(set(graphs), key=lambda g: g.edges)
 
 

@@ -11,7 +11,7 @@ from circleact import cli, core
 from circleact.cli import main
 from circleact.core import FixedPointData, data, disjoint_union
 from circleact.generators import gen_blowup, gen_cp2, gen_cp3, gen_s6, gen_s6_pair
-from circleact.multigraph import NoMatchingError, enumerate_admissible
+from circleact.multigraph import GraphCapError, NoMatchingError, enumerate_admissible
 from cli_oracle import cmd_graphs_by_dumps
 from conftest import even_data, random_data
 
@@ -193,6 +193,19 @@ class TestGraphs:
         code, _, err = run(capsys, "graphs", str(p))
         assert code == 1 and "parity" in err
 
+    def test_cap_exceeded_exit_1(self, capsys, monkeypatch, tmp_path):
+        """An exhausted graph cap is a principled failure, not a parity
+        failure."""
+        p = tmp_path / "four.txt"
+        p.write_text("+ 1 1 1\n- 1 1 1\n+ 1 1 1\n- 1 1 1\n")
+        assert len(enumerate_admissible(core.parse(p.read_text()))) == 4
+        monkeypatch.setattr(
+            cli, "enumerate_admissible", lambda d: enumerate_admissible(d, cap=2)
+        )
+        assert run(capsys, "graphs", str(p)) == (
+            1, "", "admissible graph cap 2 exceeded\n"
+        )
+
     def test_emit_to_directory_exit_2(self, capsys, petrie_file, tmp_path):
         """The graphs are printed, then the unwritable --emit path is an
         error, not a traceback."""
@@ -242,9 +255,10 @@ def _graph_inputs(rng):
             d = random_data(rng, max_points=10, max_weight=max_weight)
         try:
             enumerate_admissible(d, cap=300)
-        except NoMatchingError as exc:
-            if "cap" in str(exc):
-                continue
+        except GraphCapError:
+            continue
+        except NoMatchingError:
+            pass
         inputs.append(d)
     return inputs
 
@@ -338,6 +352,13 @@ class TestGen:
     def test_nonpositive_param(self, capsys):
         code, _, err = run(capsys, "gen", "s6", "--params", "0", "1", "2")
         assert code == 2
+
+    def test_unknown_family_refused_by_argparse(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "nope", "--params", "1"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "invalid choice: 'nope'" in captured.err
 
 
 class TestOracle:

@@ -10,8 +10,7 @@ from circleact.core import (
     FixedPointDatum,
     InvalidWeightError,
     ParseError,
-    SignedDatumClass,
-    canonicalize,
+    canonical_form,
     data,
     disjoint_union,
     from_complex_weights,
@@ -31,29 +30,28 @@ def petrie():
 
 
 class TestCanonicalize:
+    """canonical_form: the canonical representative of a signed class."""
+
     def test_one_negation_flips_sign(self):
-        got = canonicalize(SignedDatumClass(1, (-1, 2, 3)))
-        assert got == SignedDatumClass(-1, (1, 2, 3))
+        assert canonical_form(1, (-1, 2, 3)) == (-1, (1, 2, 3))
 
     def test_already_canonical(self):
-        got = canonicalize(SignedDatumClass(1, (1, 2, 3)))
-        assert got == SignedDatumClass(1, (1, 2, 3))
+        assert canonical_form(1, (1, 2, 3)) == (1, (1, 2, 3))
 
     def test_two_negations_preserve_sign(self):
-        got = canonicalize(SignedDatumClass(-1, (-7, -2, 3)))
-        assert got == SignedDatumClass(-1, (2, 3, 7))
+        assert canonical_form(-1, (-7, -2, 3)) == (-1, (2, 3, 7))
 
     def test_zero_weight_rejected(self):
+        # a class with a zero weight has no canonical FixedPointDatum
         with pytest.raises(InvalidWeightError):
-            SignedDatumClass(1, (0, 2))
+            FixedPointDatum(*canonical_form(1, (0, -2)))
 
     def test_idempotent(self, rng):
         for _ in range(300):
             n = rng.randint(1, 4)
             ws = tuple(rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(n))
-            c = SignedDatumClass(rng.choice((-1, 1)), ws)
-            once = canonicalize(c)
-            assert canonicalize(once) == once
+            once = canonical_form(rng.choice((-1, 1)), ws)
+            assert canonical_form(*once) == once
 
 
 class TestFromComplexWeights:
@@ -75,9 +73,9 @@ class TestFromComplexWeights:
         for _ in range(300):
             n = rng.randint(1, 4)
             ws = tuple(rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(n))
-            viaclass = canonicalize(SignedDatumClass(1, ws))
-            datum = from_complex_weights(ws)
-            assert (datum.sign, datum.weights) == (viaclass.sign, viaclass.weights)
+            negated = sum(w < 0 for w in ws)
+            want = FixedPointDatum((-1) ** negated, tuple(abs(w) for w in ws))
+            assert from_complex_weights(ws) == want
 
 
 class TestDisjointUnion:

@@ -8,6 +8,7 @@ from circleact.classify import figure1_taggable
 from circleact.core import FixedPointData, data, disjoint_union
 from circleact.generators import gen_blowup, gen_cp3, gen_s6, gen_s6_pair
 from circleact.multigraph import (
+    GraphCapError,
     LabeledMultigraph,
     NoMatchingError,
     describes,
@@ -83,6 +84,20 @@ class TestGraphInvariants:
         g = CP3_123_GRAPH
         assert parse_graph(serialize_graph(g)) == g
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "vertex 0 x",  # formerly read as a negative vertex
+            "vertex 1",  # formerly a bare IndexError
+            "0 1",  # formerly Python's unpacking message
+            "0 1 x",
+        ],
+    )
+    def test_malformed_line_named(self, bad):
+        text = "# header\n\n" + bad + "\n"
+        with pytest.raises(ValueError, match=r"^line 3: expected '"):
+            parse_graph(text)
+
 
 class TestEnumerateAdmissible:
     def test_cp3_includes_expected(self):
@@ -154,8 +169,8 @@ def _occurrence_matchings(d):
 def _graphs_or_error(enumerate, d, cap):
     try:
         return enumerate(d, cap=cap)
-    except NoMatchingError as exc:
-        return str(exc)
+    except (GraphCapError, NoMatchingError) as exc:
+        return type(exc).__name__, str(exc)
 
 
 def _assert_valid(graphs):

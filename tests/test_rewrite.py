@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circleact import constraints
-from circleact.core import FixedPointData, SignedDatumClass, canonicalize, disjoint_union
+from circleact.core import (
+    FixedPointData,
+    FixedPointDatum,
+    InvalidWeightError,
+    canonical_form,
+    disjoint_union,
+)
 from circleact.generators import gen_blowup, gen_cp3, gen_s6, gen_s6_pair
 from circleact.rewrite import (
     ReductionFailure,
@@ -18,7 +24,6 @@ from circleact.rewrite import (
     _deepening_search,
     applicable_moves,
     apply_move,
-    collection_from_classes,
     collection_from_data,
     reduce_to_empty,
 )
@@ -28,14 +33,16 @@ from rewrite_oracle import (
     reduce_to_empty_by_regeneration,
     search_by_regeneration,
 )
+from conftest import random_data
 
 
 def cls(sign, *weights):
-    return canonicalize(SignedDatumClass(sign, weights))
+    """The canonical representative of the signed class [sign, *weights]."""
+    return FixedPointDatum(*canonical_form(sign, weights))
 
 
 def coll(*specs):
-    return collection_from_classes(cls(s, *w) for s, *w in [list(x) for x in specs])
+    return Counter(cls(*spec) for spec in specs)
 
 
 class TestCollections:
@@ -46,8 +53,13 @@ class TestCollections:
         )
 
     def test_multiplicities(self):
-        got = collection_from_classes([cls(1, 1, 2, 3), cls(1, 1, 2, 3)])
+        got = collection_from_data(FixedPointData((cls(1, 1, 2, 3), cls(1, 3, 2, 1))))
         assert got[cls(1, 1, 2, 3)] == 2
+
+    def test_from_data_is_counter_of_points(self, rng):
+        for _ in range(200):
+            d = random_data(rng, max_points=8)
+            assert collection_from_data(d) == Counter(d.points)
 
 
 class TestApplicableMoves:
@@ -99,7 +111,7 @@ class TestApplicableMoves:
 
     def test_rejects_wrong_arity(self):
         with pytest.raises(ValueError):
-            applicable_moves(collection_from_classes([SignedDatumClass(1, (1, 2))]))
+            applicable_moves(Counter([FixedPointDatum(1, (1, 2))]))
 
     def test_deterministic_order(self):
         c = collection_from_data(gen_cp3(1, 2, 3))
@@ -152,7 +164,8 @@ class TestReduceToEmpty:
 
     def test_empty_collection(self):
         trace = reduce_to_empty(Counter())
-        assert trace.moves == () and trace.final == ()
+        assert trace.initial == () and trace.moves == ()
+        assert trace.replay() == [Counter()]
 
     def test_irreducible_reports_failure(self):
         res = reduce_to_empty(coll((1, 1, 1, 1)), max_depth=3)
@@ -165,9 +178,10 @@ class TestReduceToEmpty:
             reduce_to_empty(coll((1, 1, 2, 3), (-1, 1, 2, 3)), max_depth=-1)
 
     def test_noncanonical_rejected(self):
-        c = Counter({SignedDatumClass(1, (-1, 2, 3)): 1})
-        with pytest.raises(ValueError):
-            reduce_to_empty(c)
+        # a class is held as its canonical FixedPointDatum, so a
+        # non-canonical one cannot be built, let alone reduced
+        with pytest.raises(InvalidWeightError):
+            FixedPointDatum(1, (-1, 2, 3))
 
     def test_eight_point_union(self):
         c = collection_from_data(gen_s6_pair(1, 2, 3, 1, 2, 3)) + collection_from_data(
@@ -189,9 +203,40 @@ class TestTrace:
 
     def test_replay_detects_corruption(self):
         trace = reduce_to_empty(collection_from_data(gen_cp3(1, 1, 1)))
-        bad = RewriteTrace(trace.initial, trace.moves[:-1], trace.final)
-        with pytest.raises(AssertionError):
+        bad = RewriteTrace(trace.initial, trace.moves[:-1])
+        with pytest.raises(AssertionError, match="empty collection"):
             bad.replay()
+
+    def test_json_lines_bytes(self):
+        """The JSON trace of searched reductions, byte for byte, against a
+        formatter of the bracket notation written here."""
+
+        def bracket(c):
+            sign = "+" if c.sign == 1 else "-"
+            return "[" + ",".join([sign] + [str(w) for w in c.weights]) + "]"
+
+        def line(m):
+            return json.dumps(
+                {
+                    "op": m.op,
+                    "orientation": m.orientation,
+                    "params": list(m.params),
+                    "removed": [bracket(c) for c in m.removed],
+                    "added": [bracket(c) for c in m.added],
+                }
+            )
+
+        for parts in GENERATOR_UNIONS:
+            trace = reduce_to_empty(collection_from_data(union_of(*parts)))
+            assert trace.to_json_lines() == "".join(line(m) + "\n" for m in trace.moves)
+        # a searched move that adds classes, printed in full
+        d = union_of(gen_cp3(1, 2, 3), gen_s6(2, 3, 5))
+        trace = reduce_to_empty(collection_from_data(d))
+        assert line(trace.moves[1]) == (
+            '{"op": 2, "orientation": -1, "params": [3, 5, 6], '
+            '"removed": ["[-,3,5,6]", "[+,1,3,6]"], '
+            '"added": ["[-,2,3,3]", "[+,1,2,5]"]}'
+        )
 
 
 def outcome(result) -> object:
@@ -210,10 +255,23 @@ def union_of(*parts):
 
 def random_collection(rng: random.Random):
     """1-7 random arity-3 classes with weights at most 6."""
-    return collection_from_classes(
+    return Counter(
         cls(rng.choice((-1, 1)), *(rng.randint(1, 6) for _ in range(3)))
         for _ in range(rng.randint(1, 7))
     )
+
+
+# generator unions of 6-10 points, which reduce_to_empty reduces by search
+GENERATOR_UNIONS = [
+    # the 10-point scaling probe of the benchmark's unions workload
+    (gen_s6(2, 3, 5), gen_cp3(1, 2, 3), gen_blowup(2, 1, 3)),
+    (gen_s6(1, 2, 3), gen_cp3(1, 2, 3)),
+    (gen_s6(1, 1, 4), gen_blowup(1, 2, 3)),
+    (gen_s6(1, 2, 3), gen_s6(2, 2, 2), gen_s6(1, 3, 5)),
+    (gen_s6(1, 2, 3), gen_s6(1, 2, 4), gen_cp3(2, 2, 2)),
+    (gen_s6_pair(1, 2, 3, 2, 3, 4), gen_blowup(1, 1, 1), gen_s6(3, 4, 5)),
+    (gen_s6(1, 2, 3), gen_s6(2, 3, 4), gen_s6(1, 1, 2), gen_s6(4, 5, 6), gen_s6(1, 5, 6)),
+]
 
 
 class TestAgainstOracle:
@@ -249,19 +307,7 @@ class TestAgainstOracle:
             assert isinstance(got, RewriteTrace)
             assert outcome(got) == outcome(search_by_regeneration(coll_))
 
-    @pytest.mark.parametrize(
-        "parts",
-        [
-            # the 10-point scaling probe of the benchmark's unions workload
-            (gen_s6(2, 3, 5), gen_cp3(1, 2, 3), gen_blowup(2, 1, 3)),
-            (gen_s6(1, 2, 3), gen_cp3(1, 2, 3)),
-            (gen_s6(1, 1, 4), gen_blowup(1, 2, 3)),
-            (gen_s6(1, 2, 3), gen_s6(2, 2, 2), gen_s6(1, 3, 5)),
-            (gen_s6(1, 2, 3), gen_s6(1, 2, 4), gen_cp3(2, 2, 2)),
-            (gen_s6_pair(1, 2, 3, 2, 3, 4), gen_blowup(1, 1, 1), gen_s6(3, 4, 5)),
-            (gen_s6(1, 2, 3), gen_s6(2, 3, 4), gen_s6(1, 1, 2), gen_s6(4, 5, 6), gen_s6(1, 5, 6)),
-        ],
-    )
+    @pytest.mark.parametrize("parts", GENERATOR_UNIONS)
     def test_generator_unions(self, parts):
         coll_ = collection_from_data(union_of(*parts))
         assert 6 <= sum(coll_.values()) <= 10

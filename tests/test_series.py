@@ -14,7 +14,7 @@ from circleact.series import (
     signature_series,
     signature_value,
 )
-from conftest import random_data
+from conftest import even_data, random_data
 from rational_oracle import (
     RationalPolynomial,
     factor_series,
@@ -140,6 +140,18 @@ class TestSignatureValue:
 
     def test_empty(self):
         assert signature_value(FixedPointData(())) == 0
+
+    def test_constant_sum_is_sum_of_signs(self, rng):
+        """Each factor (1+t^w)/(1-t^w) is 1 at t=0, so a constant signature
+        sum is sum_p eps(p); check_signature_constant relies on it."""
+        constants = []
+        for _ in range(2000):
+            d = even_data(rng)
+            result = signature_exact(d)
+            if result.is_constant:
+                assert result.constant == signature_value(d), d
+                constants.append(result.constant)
+        assert len(constants) > 200 and len(set(constants)) > 2
 
 
 class TestCrossOracle:
