@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from . import constraints, core, rewrite, sweep
+from . import constraints, core, sweep
 from .classify import classify, figure1_taggable
 from .generators import GENERATORS
 from .multigraph import (

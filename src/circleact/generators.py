@@ -8,6 +8,7 @@ complex weight lists, so it exercises the complex-to-real conversion).
 
 from __future__ import annotations
 
+from .classify import cp3_template
 from .core import (
     FixedPointData,
     data,
@@ -37,12 +38,7 @@ def gen_s6_pair(a: int, b: int, c: int, d: int, e: int, f: int) -> FixedPointDat
 def gen_cp3(a: int, b: int, c: int) -> FixedPointData:
     """Linear circle action on complex projective 3-space."""
     _require_positive(a, b, c)
-    return data(
-        (1, a, a + b, a + b + c),
-        (-1, a, b, b + c),
-        (1, b, c, a + b),
-        (-1, c, b + c, a + b + c),
-    )
+    return cp3_template(a, b, c)
 
 
 def gen_blowup(a: int, b: int, c: int) -> FixedPointData:

@@ -45,7 +45,11 @@ class LabeledMultigraph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self):
-        ids = {v for v, _ in self.vertices}
+        ids = set()
+        for v, _ in self.vertices:
+            if v in ids:
+                raise ValueError(f"repeated vertex id {v}")
+            ids.add(v)
         for u, v, label in self.edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
@@ -278,9 +282,7 @@ def match_figure1(g: LabeledMultigraph) -> Optional[Figure1Case]:
     vertex's degree.  A normalization matches when its edge counts from p1
     name a pattern and every role pair has as many edges as the pattern's
     template has slots there; the labels then fill the slots in increasing
-    order, so the case's template edges are the graph's.  (On four distinct
-    3-regular vertices the counts from p1 already fix the rest; the full
-    comparison matters when a vertex list repeats an id.)"""
+    order, so the case's template edges are the graph's."""
     if len(g.vertices) != 4:
         raise ValueError("need exactly 4 vertices")
     plus = sorted(v for v, s in g.vertices if s == 1)

@@ -9,11 +9,10 @@ notation ``[+,1,2,3]``.  This module enumerates
 applicable operation instances from one move table, checking that the
 removed classes are present on plain (sign, weights) tuples before building
 the added ones, applies them with multiset semantics, and searches for a
-reduction: closed-form scripts for the two known 4-point shapes, bounded
-iterative deepening otherwise.  The search runs on sorted tuples of
-canonical (sign, weights) pairs, computes each state's successors once per
-call and builds ``RewriteMove`` objects, all in ``_build``, only for the
-path it returns.
+reduction: closed-form scripts for the two known 4-point shapes, a bounded
+breadth-first search otherwise.  The search runs on sorted tuples of
+canonical (sign, weights) pairs, expands each state at most once and builds
+``RewriteMove`` objects, all in ``_build``, only for the path it returns.
 """
 
 from __future__ import annotations
@@ -284,8 +283,9 @@ def reduce_to_empty(coll: Collection, max_depth: int = 12):
     """Reduce the collection to empty, returning a verified RewriteTrace or
     a ReductionFailure.
 
-    The closed-form 4-point scripts are tried first, then bounded
-    iterative-deepening search.  A negative max_depth raises ValueError.
+    The closed-form 4-point scripts are tried first, then a breadth-first
+    search bounded by max_depth moves, which returns a shortest trace.  A
+    negative max_depth raises ValueError.
     """
     if max_depth < 0:
         raise ValueError(f"max_depth must be at least 0, got {max_depth}")
@@ -300,60 +300,58 @@ def reduce_to_empty(coll: Collection, max_depth: int = 12):
         trace = RewriteTrace(initial, tuple(script))
         trace.replay()
         return trace
-    return _deepening_search(coll, max_depth)
+    return _breadth_first_search(coll, max_depth)
 
 
-def _deepening_search(coll: Collection, max_depth: int):
-    """Iterative deepening from the non-empty canonical collection ``coll``
+def _breadth_first_search(coll: Collection, max_depth: int):
+    """Breadth-first search from the non-empty canonical collection ``coll``
     up to ``max_depth`` moves: a verified RewriteTrace or a
-    ReductionFailure."""
+    ReductionFailure.
+
+    States are sorted tuples of canonical (sign, weights) pairs.  Each layer
+    is expanded in the order its states were discovered, each state's moves
+    in ``_move_keys`` order (by key), and a state reached again is skipped.
+    The returned keys are the lexicographically first among the shortest
+    move sequences: by induction, layer k is discovered in the lex order of
+    the lex-first shortest paths to its states, since a shortest path's
+    prefix is a shortest path to its last state and the lex-first one among
+    them; so the first time the empty state is generated, it is by the
+    lex-first shortest path.  Iterative deepening with exact transposition
+    pruning returns that same sequence.  A failure's ``states_explored`` is
+    the number of distinct states expanded, those reachable in fewer than
+    ``max_depth`` moves.
+    """
     initial = _sorted_classes(coll)
-    explored = 0
-    # per call: each state's ((op, orientation, params), child) list, built
-    # the first time the state is expanded and reused at every depth
-    successors: dict = {}
-
-    def expand(state: tuple) -> list:
-        count = Counter(state)
-        out = []
-        for key, removed, added in _move_keys(count):
-            rest = list(state)
-            for c in removed:
-                rest.remove(c)
-            out.append((key, tuple(sorted(rest + added))))
-        return out
-
-    def dfs(state: tuple, depth: int, seen: dict) -> Optional[list]:
-        nonlocal explored
-        explored += 1
-        if not state:
-            return []
-        if depth == 0:
-            return None
-        # transposition set: skip states already searched with at least as
-        # much remaining depth
-        if seen.get(state, -1) >= depth:
-            return None
-        seen[state] = depth
-        moves = successors.get(state)
-        if moves is None:
-            moves = successors[state] = expand(state)
-        for key, child in moves:
-            sub = dfs(child, depth - 1, seen)
-            if sub is not None:
-                return [key] + sub
-        return None
-
     start = tuple((c.sign, c.weights) for c in initial)
-    for depth in range(1, max_depth + 1):
-        result = dfs(start, depth, {})
-        if result is not None:
-            moves = tuple(_instantiate(*key) for key in result)
-            trace = RewriteTrace(initial, moves)
-            trace.replay()
-            return trace
+    # each discovered state -> (previous state, move key); None at the start
+    parent: dict = {start: None}
+    layer = [start]
+    expanded = 0
+    for _ in range(max_depth):
+        next_layer = []
+        for state in layer:
+            expanded += 1
+            for key, removed, added in _move_keys(Counter(state)):
+                rest = list(state)
+                for c in removed:
+                    rest.remove(c)
+                child = tuple(sorted(rest + added))
+                if child in parent:
+                    continue
+                parent[child] = (state, key)
+                if not child:
+                    keys = []
+                    while parent[child] is not None:
+                        child, key = parent[child]
+                        keys.append(key)
+                    moves = tuple(_instantiate(*key) for key in reversed(keys))
+                    trace = RewriteTrace(initial, moves)
+                    trace.replay()
+                    return trace
+                next_layer.append(child)
+        layer = next_layer
     return ReductionFailure(
         reason=f"no reduction within depth {max_depth}",
         depth=max_depth,
-        states_explored=explored,
+        states_explored=expanded,
     )

@@ -36,7 +36,7 @@ the four other fields once.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .core import FixedPointData, FixedPointDatum
 from . import constraints
@@ -59,17 +59,6 @@ def parity_mask(p: FixedPointDatum) -> int:
     for w in p.weights:
         mask ^= 1 << w
     return mask
-
-
-def enumerate_candidates(
-    points: int, arity: int, max_weight: int
-) -> Iterator[FixedPointData]:
-    """All data with the given shape and weights <= max_weight, canonical
-    up to permutation of the point list."""
-    for combo in itertools.combinations_with_replacement(
-        point_kinds(arity, max_weight), points
-    ):
-        yield FixedPointData(combo)
 
 
 class SweepRow(NamedTuple):

@@ -11,7 +11,7 @@ by presence, a Case-2 script finds its op-1 moves by searching the
 applicable moves after its op-2 move, and the iterative-deepening search
 regenerates the moves of a state each time it expands it.  Tests require
 both routes to return the same moves, scripts, traces and failures, down to
-``states_explored``.
+the failure's reason and depth.
 """
 
 from __future__ import annotations

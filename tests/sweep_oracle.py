@@ -10,6 +10,8 @@ with its first witnessed partner, without backtracking.  This module keeps
 the implementations they replaced, as the references the tests compare them
 against:
 
+* ``enumerate_candidates`` lists every datum of a shape, canonical up to
+  point order;
 * ``sweep_by_filtering`` builds every candidate as data, runs the whole
   suite through ``checks_in_full``, tags graphs with ``match_figure1_by_scan``
   and sorts the rows afterwards, the reference for the sweep's per-kind
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from typing import Optional
+from typing import Iterator, Optional
 
 from circleact import constraints
 from circleact.classify import figure1_taggable
@@ -46,7 +48,7 @@ from circleact.multigraph import (
     NoMatchingError,
     small_label_values,
 )
-from circleact.sweep import SweepRow, classify_label, enumerate_candidates
+from circleact.sweep import SweepRow, classify_label, point_kinds
 
 
 def checks_in_full(d: FixedPointData) -> tuple[bool, tuple[str, ...]]:
@@ -72,6 +74,17 @@ def checks_in_full(d: FixedPointData) -> tuple[bool, tuple[str, ...]]:
         if r.failed:
             failed.append(r.name)
     return not failed, tuple(failed)
+
+
+def enumerate_candidates(
+    points: int, arity: int, max_weight: int
+) -> Iterator[FixedPointData]:
+    """All data with the given shape and weights <= max_weight, canonical
+    up to permutation of the point list."""
+    for combo in itertools.combinations_with_replacement(
+        point_kinds(arity, max_weight), points
+    ):
+        yield FixedPointData(combo)
 
 
 def sweep_by_filtering(points: int, arity: int, max_weight: int) -> list[SweepRow]:

@@ -331,6 +331,16 @@ class TestReduce:
             '{"reason": "no reduction within depth 0", "depth": 0, "states_explored": 0}\n'
         )
 
+    def test_search_failure_record(self, capsys):
+        # the search expands three distinct states and then runs out of moves
+        text = "+ 1 2 3\n- 1 2 3\n+ 1 1 2\n+ 1 1 2\n"
+        with mock.patch("sys.stdin", io.StringIO(text)):
+            code, out, err = run(capsys, "--json", "reduce", "-")
+        assert code == 1 and err == ""
+        assert out == (
+            '{"reason": "no reduction within depth 12", "depth": 12, "states_explored": 3}\n'
+        )
+
 
 class TestGen:
     def test_cp3(self, capsys):

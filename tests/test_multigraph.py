@@ -18,8 +18,11 @@ from circleact.multigraph import (
     serialize_graph,
 )
 from conftest import even_data, random_data
-from circleact.sweep import enumerate_candidates
-from sweep_oracle import enumerate_admissible_by_matchings, match_figure1_by_scan
+from sweep_oracle import (
+    enumerate_admissible_by_matchings,
+    enumerate_candidates,
+    match_figure1_by_scan,
+)
 
 CP3_123 = gen_cp3(1, 2, 3)  # {+,1,3,6},{-,1,2,5},{+,2,3,3},{-,3,5,6}
 CP3_123_GRAPH = LabeledMultigraph(
@@ -79,6 +82,11 @@ class TestGraphInvariants:
     def test_unknown_vertex(self):
         with pytest.raises(ValueError, match="unknown vertex"):
             LabeledMultigraph(((0, 1), (1, -1)), ((0, 2, 1),))
+
+    def test_repeated_vertex_id(self):
+        # formerly the second sign of vertex 0 was silently dropped
+        with pytest.raises(ValueError, match="^repeated vertex id 0$"):
+            parse_graph("vertex 0 +\nvertex 0 -\nvertex 1 +\n0 1 2\n")
 
     def test_round_trip(self):
         g = CP3_123_GRAPH
@@ -358,15 +366,12 @@ class TestMatchFigure1AgainstScan:
         [
             ((0, 1), (0, 1), (1, -1), (1, -1)),
             ((0, 1), (1, 1), (0, -1), (1, -1)),
-            # normalized as (0, 0, 1, 0), p1 has pattern A's counts
             ((0, 1), (0, 1), (0, -1), (1, -1)),
         ],
     )
     def test_repeated_vertex_ids(self, vertices):
-        # the constructor allows a repeated id; its degree is counted once
-        g = LabeledMultigraph(vertices, ((0, 1, 1), (0, 1, 2), (0, 1, 3)))
-        assert _case_or_error(match_figure1, g) is None
-        assert _case_or_error(match_figure1_by_scan, g) is None
+        with pytest.raises(ValueError, match="^repeated vertex id 0$"):
+            LabeledMultigraph(vertices, ((0, 1, 1), (0, 1, 2), (0, 1, 3)))
 
     @pytest.mark.parametrize(
         "vertices, edges, message",

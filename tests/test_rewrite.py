@@ -21,7 +21,7 @@ from circleact.rewrite import (
     RewriteTrace,
     StaleMoveError,
     _case_script,
-    _deepening_search,
+    _breadth_first_search,
     applicable_moves,
     apply_move,
     collection_from_data,
@@ -156,7 +156,7 @@ class TestReduceToEmpty:
     def test_search_strategy_agrees(self):
         c = collection_from_data(gen_cp3(2, 1, 2))
         auto = reduce_to_empty(c)
-        searched = _deepening_search(c, 12)
+        searched = _breadth_first_search(c, 12)
         assert isinstance(searched, RewriteTrace)
         for t in (auto, searched):
             states = t.replay()
@@ -170,8 +170,8 @@ class TestReduceToEmpty:
     def test_irreducible_reports_failure(self):
         res = reduce_to_empty(coll((1, 1, 1, 1)), max_depth=3)
         assert isinstance(res, ReductionFailure)
-        # one state per depth: the lone class admits no move
-        assert res.depth == 3 and res.states_explored == 3
+        # the lone class admits no move, so the search expands one state
+        assert res.depth == 3 and res.states_explored == 1
 
     def test_negative_depth_rejected(self):
         with pytest.raises(ValueError, match="max_depth must be at least 0, got -1"):
@@ -246,6 +246,24 @@ def outcome(result) -> object:
     return [m.to_dict() for m in result.moves]
 
 
+def states_within(coll, moves: int) -> int:
+    """The number of distinct collections reachable from ``coll`` in at
+    most ``moves`` moves."""
+    seen = {frozenset(coll.items())}
+    frontier = [coll]
+    for _ in range(moves):
+        reached = []
+        for state in frontier:
+            for move in applicable_moves_by_filtering(state):
+                child = apply_move(state, move)
+                key = frozenset(child.items())
+                if key not in seen:
+                    seen.add(key)
+                    reached.append(child)
+        frontier = reached
+    return len(seen)
+
+
 def union_of(*parts):
     out = parts[0]
     for d in parts[1:]:
@@ -291,10 +309,14 @@ class TestAgainstOracle:
             c = random_collection(rng)
             for depth in (3, 4):
                 got = reduce_to_empty(c, max_depth=depth)
-                assert outcome(got) == outcome(
-                    reduce_to_empty_by_regeneration(c, max_depth=depth)
-                ), c
-                failures += isinstance(got, ReductionFailure)
+                want = reduce_to_empty_by_regeneration(c, max_depth=depth)
+                if isinstance(got, ReductionFailure):
+                    failures += 1
+                    assert isinstance(want, ReductionFailure), c
+                    assert (got.reason, got.depth) == (want.reason, want.depth)
+                    assert got.states_explored == states_within(c, depth - 1), c
+                else:
+                    assert outcome(got) == outcome(want), c
         assert failures > 250
 
     @pytest.mark.parametrize("gen", [gen_cp3, gen_blowup, gen_s6])
@@ -303,7 +325,7 @@ class TestAgainstOracle:
             if a + b + c > 8:
                 continue
             coll_ = collection_from_data(gen(a, b, c))
-            got = _deepening_search(coll_, 12)
+            got = _breadth_first_search(coll_, 12)
             assert isinstance(got, RewriteTrace)
             assert outcome(got) == outcome(search_by_regeneration(coll_))
 

@@ -8,7 +8,6 @@ from circleact.core import FixedPointData, data, parse
 from circleact.multigraph import enumerate_admissible
 from circleact.sweep import (
     classify_label,
-    enumerate_candidates,
     parity_mask,
     point_kinds,
     survivors,
@@ -21,6 +20,7 @@ from sweep_oracle import (
     congruence_pairing_by_enumeration,
     csv_by_format,
     enumerate_admissible_by_matchings,
+    enumerate_candidates,
     sweep_by_filtering,
 )
 
